@@ -45,6 +45,11 @@ class Cluster:
             Node(env, node_id=i, spec=spec.node, paging_penalty=spec.paging_penalty)
             for i in range(spec.nodes)
         ]
+        #: Number of nodes currently failed: an O(1) "is anything
+        #: degraded?" probe for the per-round fault checks.
+        self.failed_hosts = 0
+        for node in self.nodes:
+            node.cluster = self
         self.network = Network(
             env,
             self.nodes,

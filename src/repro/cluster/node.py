@@ -47,16 +47,24 @@ class Node:
         #: times the healthy speed, and planners/failover must avoid it.
         self.failed = False
         self.failure_slowdown = 1.0
+        #: Owning :class:`~repro.cluster.cluster.Cluster`, whose
+        #: ``failed_hosts`` count :meth:`fail` and :meth:`recover` keep
+        #: in step (None for a free-standing node).
+        self.cluster = None
 
     def fail(self, slowdown: float = 16.0) -> None:
         """Mark this host failed; local memory traffic slows by `slowdown`."""
         if slowdown < 1.0:
             raise ValueError("failure slowdown must be >= 1.0")
+        if not self.failed and self.cluster is not None:
+            self.cluster.failed_hosts += 1
         self.failed = True
         self.failure_slowdown = float(slowdown)
 
     def recover(self) -> None:
         """Return the host to healthy operation."""
+        if self.failed and self.cluster is not None:
+            self.cluster.failed_hosts -= 1
         self.failed = False
         self.failure_slowdown = 1.0
 

@@ -153,7 +153,7 @@ class MCIOConfig:
         Opt-in reusable collective plans: key each finished plan by a
         deterministic signature of (access patterns, config, live-node
         set, memory-state bucket digest) and reuse it — partition
-        trees, placement, and per-window sender memos included — when a
+        trees, placement, and the compiled round schedule included — when a
         later collective presents the same signature.  Invalidated when
         a node's available memory crosses a remerge-relevant bucket, on
         any fault-injector event (wire with

@@ -22,7 +22,12 @@ Round synchronisation.  ROMIO's ``ADIOI_Exch_and_write`` loops a global
 ``ntimes = max(rounds over aggregators)`` with an all-to-all exchange per
 iteration, so every rank advances through buffer rounds in lockstep; a
 slow aggregator (paged buffer, contended server) stalls *everyone* each
-round.  ``granularity="round"`` reproduces exactly that.
+round.  ``granularity="round"`` reproduces exactly that.  The round
+structure is compiled once per plan into a :class:`RoundSchedule`
+(every domain's windows, each window's senders, and a per-rank index of
+the (round, domain) slots a rank sends to), so each rank still runs all
+``ntimes`` rounds and barriers, but spawns work only for its own slots
+instead of rescanning every domain every round.
 ``granularity="domain"`` instead batches each (rank, aggregator) pair's
 traffic into one message and lets aggregators stream their rounds
 without global synchronisation — far fewer simulation events, at the
@@ -46,7 +51,10 @@ from repro.core.borrow import (
 from repro.core.failover import replace_failed_domains
 from repro.core.filedomain import FileDomain, rounds_for
 from repro.core.metrics import StatsCollector
-from repro.core.request import AccessPattern, Extent, coalesce_extents
+from repro.core.pattern_array import PatternArray, union_intervals
+# coalesce_extents is unused here but stays a module attribute:
+# perfbench/spans.py wraps it by name on this module
+from repro.core.request import AccessPattern, Extent, coalesce_extents  # noqa: F401
 from repro.mpi.comm import RankContext, SimComm
 from repro.obs.tracer import PID_PIPELINE
 from repro.pfs.filesystem import ParallelFileSystem
@@ -65,79 +73,46 @@ class ExecutionPlan:
     """Everything the runtime needs: domains plus per-domain sender lists."""
 
     domains: tuple[FileDomain, ...]
-    #: ``senders[i]`` = ranks with data inside ``domains[i]``.
+    #: ``senders[i]`` = ranks (ascending) with data inside ``domains[i]``.
     senders: tuple[tuple[int, ...], ...]
     n_groups: int = 1
 
     def __post_init__(self) -> None:
         if len(self.domains) != len(self.senders):
             raise ValueError("domains and senders length mismatch")
-        # per-(domain, window) sender memo, shared by every rank running
-        # this plan (the instance is shared across the whole collective)
-        object.__setattr__(self, "_window_senders", {})
-        object.__setattr__(self, "_window_node_groups", {})
+        agg_slots: dict[int, tuple[int, ...]] = {}
+        for did, domain in enumerate(self.domains):
+            r = domain.aggregator_rank
+            agg_slots[r] = agg_slots.get(r, ()) + (did,)
+        #: rank -> domain ids it aggregates, ascending
+        object.__setattr__(self, "_agg_slots", agg_slots)
+        #: compiled round schedules by window geometry (full or half
+        #: buffer), shared by every rank running this plan
+        object.__setattr__(self, "_schedules", {})
+        #: (segment table, domain-segment incidence) kept for compiling
+        object.__setattr__(self, "_segments", None)
 
-    def window_senders(
-        self, did: int, lo: int, hi: int, patterns: Sequence[AccessPattern]
-    ) -> list[int]:
-        """Ranks of ``senders[did]`` with bytes in ``[lo, hi)``, memoized.
+    def schedule(
+        self, patterns: Sequence[AccessPattern], half: bool = False
+    ) -> "RoundSchedule":
+        """This plan's :class:`RoundSchedule`, compiled on first use.
 
-        Callers must treat the returned list as immutable — it is shared
-        across every rank of the collective.
+        A plan always runs against the patterns it was planned from
+        (the plan cache keys on them by value), so one compilation
+        serves every rank, every persistent replay and every cache hit.
+        `half` selects the pipelined executor's half-buffer windows.
         """
-        key = (did, lo, hi)
-        cached = self._window_senders.get(key)
-        if cached is None:
-            senders = [
-                r
-                for r in self.senders[did]
-                # bounding-interval pre-check before the per-segment walk
-                if patterns[r].start < hi and patterns[r].end > lo
-                and patterns[r].bytes_in(lo, hi) > 0
-            ]
-            cached = (senders, frozenset(senders))
-            self._window_senders[key] = cached
-        return cached[0]
-
-    def is_window_sender(
-        self, rank: int, did: int, lo: int, hi: int,
-        patterns: Sequence[AccessPattern],
-    ) -> bool:
-        """Whether `rank` has bytes in window ``[lo, hi)`` of domain `did`.
-
-        One shared pattern scan per window serves every rank's
-        membership check — the per-rank cost is a set lookup.
-        """
-        key = (did, lo, hi)
-        cached = self._window_senders.get(key)
-        if cached is None:
-            self.window_senders(did, lo, hi, patterns)
-            cached = self._window_senders[key]
-        return rank in cached[1]
-
-    def window_node_groups(
-        self,
-        did: int,
-        lo: int,
-        hi: int,
-        patterns: Sequence[AccessPattern],
-        placement: Sequence[int],
-    ) -> dict[int, list[int]]:
-        """Window senders grouped by hosting node, memoized.
-
-        ``{node_id: [ranks]}`` with ranks ascending inside each node —
-        the first rank of a group is that node's shuffle leader under
-        intra-node aggregation.  Shared across ranks; treat as
-        immutable.
-        """
-        key = (did, lo, hi)
-        cached = self._window_node_groups.get(key)
-        if cached is None:
-            groups: dict[int, list[int]] = {}
-            for r in self.window_senders(did, lo, hi, patterns):
-                groups.setdefault(placement[r], []).append(r)
-            self._window_node_groups[key] = cached = groups
-        return cached
+        sched = self._schedules.get(half)
+        if sched is None:
+            if self._segments is None:
+                table = _segment_table(patterns)
+                object.__setattr__(
+                    self, "_segments", (table, _incidence(self.domains, table))
+                )
+            sched = self._schedules[half] = RoundSchedule(
+                self.domains, len(patterns), *self._segments, half
+            )
+        return sched
 
     @classmethod
     def build(
@@ -147,8 +122,6 @@ class ExecutionPlan:
         n_groups: int = 1,
     ) -> "ExecutionPlan":
         """Derive sender lists from the ranks' file views."""
-        from repro.core.pattern_array import PatternArray
-
         if isinstance(patterns, PatternArray):
             senders = tuple(
                 tuple(
@@ -156,16 +129,17 @@ class ExecutionPlan:
                 )
                 for d in domains
             )
-        else:
-            senders = tuple(
-                tuple(
-                    r
-                    for r, p in enumerate(patterns)
-                    if p.bytes_in(d.extent.offset, d.extent.end) > 0
-                )
-                for d in domains
-            )
-        return cls(tuple(domains), senders, n_groups)
+            return cls(tuple(domains), senders, n_groups)
+        # the full-buffer schedule is compiled here: a rank has bytes in
+        # a domain exactly when it has bytes in one of its windows
+        table = _segment_table(patterns)
+        incidence = _incidence(domains, table)
+        sched = RoundSchedule(domains, len(patterns), table, incidence, False)
+        senders = tuple(tuple(sorted(set().union(*ws))) for ws in sched.senders)
+        plan = cls(tuple(domains), senders, n_groups)
+        object.__setattr__(plan, "_segments", (table, incidence))
+        plan._schedules[False] = sched
+        return plan
 
     @property
     def aggregator_ranks(self) -> tuple[int, ...]:
@@ -207,6 +181,143 @@ class ExecutionPlan:
         )
 
 
+class RoundSchedule:
+    """One plan's rounds lowered to flat arrays (DESIGN.md §7).
+
+    ``windows[d][t]`` is round `t`'s window of domain `d`, and
+    ``senders[d][t]`` the ranks, ascending, with bytes in it;
+    ``ntimes`` is the lockstep round count.  A CSR index over
+    ``(rank, round, domain)`` lists each rank's sender slots, so a rank
+    walks only the windows it sends to (:meth:`rank_rounds`).  Failover
+    keeps every domain's extent and buffer, so the schedule never
+    changes under it; only the aggregator slots move.
+    """
+
+    __slots__ = ("ntimes", "windows", "senders", "_ptr", "_slot_t", "_slot_d",
+                 "_node_groups")
+
+    def __init__(self, domains, n_ranks, table, incidence, half):
+        dom, seg = incidence
+        rank, off, block, stride, count = table[:, seg]
+        lo = np.array([d.extent.offset for d in domains], dtype=np.int64)
+        length = np.array([d.extent.length for d in domains], dtype=np.int64)
+        width = np.array([d.buffer_bytes for d in domains], dtype=np.int64)
+        if half:
+            width = (width + 1) // 2
+        self.ntimes = max(
+            (rounds_for(n, w) for n, w in zip(length.tolist(), width.tolist())),
+            default=0,
+        )
+        self.windows = [
+            [Extent(o + t * w, min(w, n - t * w)) for t in range(-(-n // w))]
+            for o, n, w in zip(lo.tolist(), length.tolist(), width.tolist())
+        ]
+        # each (domain, segment) pair spans the rounds from its first to
+        # its last block in the domain; keep the rounds whose window
+        # holds some of the segment's blocks
+        base, w, end = lo[dom], width[dom], (lo + length)[dom]
+        i0 = np.maximum(0, (base - off - block + stride) // stride)
+        i1 = np.minimum(count - 1, (end - 1 - off) // stride)
+        first = (np.maximum(off + i0 * stride, base) - base) // w
+        last = (np.minimum(off + i1 * stride + block, end) - 1 - base) // w
+        pair, t = _ranges(first, last - first + 1)
+        wlo = base[pair] + t * w[pair]
+        hit = _meets(
+            off[pair], block[pair], stride[pair], count[pair],
+            wlo, np.minimum(wlo + w[pair], end[pair]),
+        )
+        # distinct (domain, round, rank) sender slots, in that order
+        dom, t, rank = dom[pair[hit]], t[hit], rank[pair[hit]]
+        order = np.lexsort((rank, t, dom))
+        dom, t, rank = dom[order], t[order], rank[order]
+        new_win = np.ones(dom.size, dtype=bool)
+        new_win[1:] = (dom[1:] != dom[:-1]) | (t[1:] != t[:-1])
+        keep = new_win.copy()
+        keep[1:] |= rank[1:] != rank[:-1]
+        dom, t, rank, new_win = dom[keep], t[keep], rank[keep], new_win[keep]
+        self.senders = [[()] * len(ws) for ws in self.windows]
+        cuts = [*np.flatnonzero(new_win).tolist(), dom.size]
+        dl, tl, rl = dom.tolist(), t.tolist(), rank.tolist()
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            self.senders[dl[a]][tl[a]] = tuple(rl[a:b])
+        order = np.lexsort((dom, t, rank))
+        self._ptr = np.searchsorted(rank[order], np.arange(n_ranks + 1)).tolist()
+        self._slot_t, self._slot_d = t[order], dom[order]
+        self._node_groups: dict = {}
+
+    def rank_rounds(self, rank: int) -> dict[int, list[int]]:
+        """``{round: [domain ids, ascending]}`` that `rank` sends to."""
+        a, b = self._ptr[rank], self._ptr[rank + 1]
+        out: dict[int, list[int]] = {}
+        for t, did in zip(self._slot_t[a:b].tolist(), self._slot_d[a:b].tolist()):
+            out.setdefault(t, []).append(did)
+        return out
+
+    def node_groups(
+        self, did: int, t: int, placement: Sequence[int]
+    ) -> dict[int, list[int]]:
+        """Window senders grouped by hosting node, memoized.
+
+        ``{node_id: [ranks]}`` with ranks ascending inside each node —
+        the first rank of a group is that node's shuffle leader under
+        intra-node aggregation.  Shared across ranks; treat as
+        immutable.
+        """
+        groups = self._node_groups.get((did, t))
+        if groups is None:
+            groups = self._node_groups[(did, t)] = {}
+            for r in self.senders[did][t]:
+                groups.setdefault(placement[r], []).append(r)
+        return groups
+
+
+def _segment_table(patterns: Sequence[AccessPattern]) -> np.ndarray:
+    """Every rank's segments as int64 rows ``rank, offset, block, stride,
+    count`` (transposed to columns); a single block's stride is its size."""
+    rows = [
+        (r, s.offset, s.block, s.stride if s.count > 1 else s.block, s.count)
+        for r, p in enumerate(patterns)
+        for s in p.segments
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, 5).T
+
+
+def _meets(off, block, stride, count, lo, hi) -> np.ndarray:
+    """Vectorized ``StridedSegment.bytes_in(lo, hi) > 0`` over table rows."""
+    first = np.maximum(0, (lo - off - block + stride) // stride)
+    return np.minimum(count - 1, (hi - 1 - off) // stride) >= first
+
+
+def _incidence(domains, table) -> tuple[np.ndarray, np.ndarray]:
+    """``(domain ids, segment rows)`` of every segment with bytes in a
+    domain, ordered by domain, then rank and file order."""
+    _rank, off, block, stride, count = table
+    end = off + (count - 1) * stride + block
+    lo = np.array([d.extent.offset for d in domains], dtype=np.int64)
+    hi = lo + np.array([d.extent.length for d in domains], dtype=np.int64)
+    # (domains x segments) span-overlap masks, a bounded slab at a time
+    step = max(1, (1 << 22) // max(1, off.size))
+    dom, seg = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for a in range(0, len(domains), step):
+        d, sg = np.nonzero((off < hi[a:a + step, None]) & (end > lo[a:a + step, None]))
+        dom.append(d + a)
+        seg.append(sg)
+    dom, seg = np.concatenate(dom), np.concatenate(seg)
+    # a strided segment can span a domain without a block in it
+    keep = (lo[dom] < hi[dom]) & _meets(
+        off[seg], block[seg], stride[seg], count[seg], lo[dom], hi[dom]
+    )
+    return dom[keep], seg[keep]
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray):
+    """``(owner, value)``: the concatenated ``arange(first[i], first[i] +
+    counts[i])`` with the index `i` each value came from."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return owner, first[owner] + np.arange(owner.size) - start[owner]
+
+
 @dataclass(frozen=True)
 class _IntraNodeBundle:
     """Leader-coalesced shuffle payload: one wire message, many slices.
@@ -231,26 +342,78 @@ def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
 def _union_extents(
     patterns: Sequence[AccessPattern], senders: Sequence[int], window: Extent
 ) -> list[Extent]:
-    """Exact union of the senders' requested extents inside `window`."""
-    clips = []
-    total_blocks = 0
+    """Exact union of the senders' requested extents inside `window`.
+
+    Each segment meeting the window is cut to the run of blocks it has
+    there, in O(1).  When every piece is one contiguous run — the usual
+    case — the runs merge in one pass, sorted first only if out of
+    order.  Pieces of several separate blocks ("trains") first fuse
+    where they interleave exactly; what is left is expanded to block
+    arrays and merged by :func:`~repro.core.pattern_array.
+    union_intervals`.  Past ``_UNION_BLOCK_LIMIT`` blocks the union
+    degrades to the covering extent.
+    """
+    lo, hi = window.offset, window.end
+    runs: list[tuple[int, int]] = []  # contiguous pieces: (start, end)
+    trains: list[tuple[int, int, int, int]] = []  # (first, block, stride, n)
+    blocks = 0
     for r in senders:
-        q = patterns[r].clip(window.offset, window.end)
-        if q.empty:
-            continue
-        total_blocks += q.block_count
-        clips.append(q)
-    if not clips:
+        for seg in patterns[r].segments_in(lo, hi):
+            off, block = seg.offset, seg.block
+            stride = seg.stride if seg.count > 1 else block
+            i0 = max(0, (lo - off - block + stride) // stride)
+            i1 = min(seg.count - 1, (hi - 1 - off) // stride)
+            if i1 < i0:
+                continue
+            first = off + i0 * stride
+            if i0 == i1 or stride == block:
+                blocks += 1
+                runs.append((max(lo, first), min(hi, off + i1 * stride + block)))
+            else:
+                blocks += i1 - i0 + 1
+                trains.append((first, block, stride, i1 - i0 + 1))
+    if not (runs or trains):
         return []
-    if total_blocks > _UNION_BLOCK_LIMIT:
-        lo = min(q.start for q in clips)
-        hi = max(q.end for q in clips)
-        return [Extent(lo, hi - lo)]
-    extents: list[Extent] = []
-    for q in clips:
-        for off, ln, _ in q.iter_mapped_extents():
-            extents.append(Extent(off, ln))
-    return coalesce_extents(extents)
+    if blocks > _UNION_BLOCK_LIMIT:
+        starts = [s for s, _ in runs] + [max(lo, f) for f, *_ in trains]
+        ends = [e for _, e in runs] + [min(hi, f + (n - 1) * st + b)
+                                       for f, b, st, n in trains]
+        return [Extent(min(starts), max(ends) - min(starts))]
+    if trains:
+        # interleaved views (ranks at successive displacements of one
+        # vector type) leave trains that fuse: same stride and count,
+        # each starting where the previous one's blocks end; a train
+        # whose blocks then touch is one run
+        trains.sort(key=lambda tr: (tr[2], tr[3], tr[0]))
+        fused = [trains[0]]
+        for tr in trains[1:]:
+            f, b, st, n = fused[-1]
+            if tr[2] == st and tr[3] == n and tr[0] == f + b and b + tr[1] <= st:
+                fused[-1] = (f, b + tr[1], st, n)
+            else:
+                fused.append(tr)
+        trains = [tr for tr in fused if tr[1] < tr[2]]
+        runs += [(max(lo, f), min(hi, f + n * st)) for f, b, st, n in fused if b == st]
+    if trains:
+        first, block, stride, n = np.array(trains, dtype=np.int64).T
+        owner, k = _ranges(np.zeros_like(n), n)
+        at = first[owner] + k * stride[owner]
+        pieces = np.array(runs, dtype=np.int64).reshape(-1, 2)
+        return union_intervals(
+            np.concatenate((pieces[:, 0], np.maximum(at, lo))),
+            np.concatenate((pieces[:, 1], np.minimum(at + block[owner], hi))),
+        )
+    if any(b[0] < a[0] for a, b in zip(runs, runs[1:])):
+        runs.sort()
+    out: list[Extent] = []
+    start, end = runs[0]
+    for s, e in runs[1:]:
+        if s > end:
+            out.append(Extent(start, end - start))
+            start = s
+        end = max(end, e)
+    out.append(Extent(start, end - start))
+    return out
 
 
 def _pack_payload(
@@ -262,6 +425,21 @@ def _pack_payload(
         src = pattern.buffer_position(off)
         out[qbuf : qbuf + ln] = payload[src : src + ln]
     return out
+
+
+def _slice_for(run, rank: int, window: Extent, buffer) -> tuple[int, object]:
+    """``(nbytes, packed bytes or None)`` of `rank`'s part of `window`,
+    gathered from the aggregation `buffer`; metadata-only runs (no
+    buffer) need only the count, not the clipped view."""
+    pattern = run.patterns[rank]
+    if buffer is None:
+        return pattern.bytes_in(window.offset, window.end), None
+    q = pattern.clip(window.offset, window.end)
+    data = np.empty(q.nbytes, dtype=np.uint8)
+    for off, ln, qbuf in q.iter_mapped_extents():
+        rel = off - window.offset
+        data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
+    return q.nbytes, data
 
 
 def _unpack_payload(
@@ -281,8 +459,8 @@ class _RunContext:
 
     __slots__ = (
         "ctx", "comm", "pfs", "plan", "patterns", "stats", "op", "op_seq",
-        "payload", "node", "domains", "allocs", "paged_flags",
-        "failover_config", "borrow",
+        "payload", "node", "domains", "agg_dids", "sched", "allocs",
+        "paged_flags", "failover_config", "borrow",
     )
 
     def __init__(self, ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload):
@@ -299,6 +477,11 @@ class _RunContext:
         #: Mutable view of the plan's domains: failover swaps aggregators
         #: here while the frozen plan keeps the original assignment.
         self.domains = list(plan.domains)
+        #: Domain ids this rank aggregates, ascending (its aggregator
+        #: slots), rebuilt only when failover moves a domain.
+        self.agg_dids = plan._agg_slots.get(ctx.rank, ())
+        #: The plan's compiled :class:`RoundSchedule` (round executors).
+        self.sched = None
         #: This rank's live aggregation-buffer allocations, by domain id.
         self.allocs: dict[int, object] = {}
         self.paged_flags: dict[int, bool] = {}
@@ -395,9 +578,7 @@ def execute_collective(
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
     if granularity not in ("round", "batched", "domain"):
         raise ValueError(f"bad granularity {granularity!r}")
-    faulty = failover_config is not None or any(
-        node.failed for node in comm.cluster.nodes
-    )
+    faulty = failover_config is not None or comm.cluster.failed_hosts > 0
     if granularity == "batched" and faulty:
         # the aggregated fast path has no per-message hooks for mid-run
         # failover or degraded hosts; keep fault runs on the exact path
@@ -417,7 +598,7 @@ def execute_collective(
         if borrow is not None:
             pipelined = False
             stats.extra["pipeline_fallback"] = "borrow-lease"
-        elif any(node.failed for node in comm.cluster.nodes):
+        elif comm.cluster.failed_hosts:
             pipelined = False
             stats.extra["pipeline_fallback"] = "failed-nodes"
         else:
@@ -430,6 +611,8 @@ def execute_collective(
     run.borrow = borrow
     if granularity == "round" and not intra_node and not pipelined:
         run.failover_config = failover_config
+    if granularity != "domain":
+        run.sched = plan.schedule(patterns, half=pipelined)
 
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
@@ -440,9 +623,8 @@ def execute_collective(
         )
     try:
         # allocate this rank's aggregation buffers for the whole operation
-        for did, domain in enumerate(run.domains):
-            if domain.aggregator_rank != ctx.rank:
-                continue
+        for did in run.agg_dids:
+            domain = run.domains[did]
             if borrow is not None and domain.lender_node is not None:
                 # the buffer lives on the lender once the lease lands
                 # (recorded at grant time); only the round count is known now
@@ -465,11 +647,13 @@ def execute_collective(
             if pipelined:
                 yield from _run_pipelined(run, failover_config)
             elif intra_node:
-                yield from _run_intra_node(run)
+                yield from _run_lockstep(run, _aggregator_window_ina, None)
             elif granularity == "round":
-                yield from _run_lockstep(run)
+                yield from _run_lockstep(run, _aggregator_window, _member_window)
             elif granularity == "batched":
-                yield from _run_batched(run)
+                yield from _run_lockstep(
+                    run, _aggregator_window_batched, _member_window_batched
+                )
             else:
                 yield from _run_streaming(run)
             if borrow is not None:
@@ -503,13 +687,21 @@ def _alloc_aggregator_buffer(run: _RunContext, did: int, domain: FileDomain):
 # ---------------------------------------------------------------------------
 # lockstep execution (ROMIO's ntimes loop)
 # ---------------------------------------------------------------------------
-def _run_lockstep(run: _RunContext):
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    ntimes = plan.ntimes
+def _run_lockstep(run: _RunContext, agg_role, member_role):
+    """ROMIO's ntimes loop, walking only this rank's compiled slots.
+
+    Every rank runs all ``ntimes`` rounds, each closed by a barrier, but
+    spawns window processes only for the slots it holds (see
+    :func:`_round_slots`): `agg_role` for a domain it aggregates,
+    `member_role` for a window it sends to.  With `member_role` None
+    (intra-node aggregation) the round's sender slots run instead as one
+    :func:`_member_round_ina` process after the aggregator windows.
+    """
+    ctx, comm, sched = run.ctx, run.comm, run.sched
     tracer = ctx.env.tracer
     pid = comm.placement[ctx.rank]
-    for t in range(ntimes):
+    sends_by_round = sched.rank_rounds(ctx.rank)
+    for t in range(sched.ntimes):
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
         try:
@@ -518,31 +710,33 @@ def _run_lockstep(run: _RunContext):
                 # over (its buffer is remote), so borrow aborts preempt
                 # the failover machinery for those domains
                 borrow_round_check(run, run.borrow, t)
-            if run.failover_config is not None:
+            if run.failover_config is not None and comm.cluster.failed_hosts:
                 yield from _failover_check(run, t)
+            sends = sends_by_round.get(t, ())
             procs = []
-            for did, domain in enumerate(run.domains):
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
+            for did, role in _round_slots(run, t, sends if member_role else ()):
+                window = sched.windows[did][t]
+                if role == 0:
                     procs.append(
                         ctx.spawn(
-                            _aggregator_window(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
+                            agg_role(run, did, window, t, run.paged_flags[did]),
                             name=f"rank{ctx.rank}.agg{did}.r{t}",
                         )
                     )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
+                else:
                     procs.append(
                         ctx.spawn(
-                            _member_window(run, did, window, t),
+                            member_role(run, did, window, t),
                             name=f"rank{ctx.rank}.m{did}.r{t}",
                         )
                     )
+            if member_role is None and sends:
+                procs.append(
+                    ctx.spawn(
+                        _member_round_ina(run, t, sends),
+                        name=f"rank{ctx.rank}.ina.r{t}",
+                    )
+                )
             if procs:
                 yield ctx.env.all_of(procs)
             # ROMIO's per-round synchronisation: the exchange of the next
@@ -551,6 +745,22 @@ def _run_lockstep(run: _RunContext):
         finally:
             if tracer.enabled:
                 tracer.end(pid, ctx.rank, round=t)
+
+
+def _round_slots(run: _RunContext, t: int, sends) -> list[tuple[int, int]]:
+    """This rank's ``(did, role)`` slots of round `t`, in spawn order.
+
+    Role 0 aggregates the domain's window, role 1 sends to it.  Domain
+    order, the aggregator role first: the order a scan over every
+    domain would spawn them in.
+    """
+    windows = run.sched.windows
+    slots = [(did, 0) for did in run.agg_dids if t < len(windows[did])]
+    if not slots:
+        return [(did, 1) for did in sends]
+    slots.extend((did, 1) for did in sends)
+    slots.sort()
+    return slots
 
 
 def _failover_check(run: _RunContext, t: int):
@@ -562,7 +772,9 @@ def _failover_check(run: _RunContext, t: int):
     immediately (no failed aggregator hosts — no events created, so the
     fault-free schedule is untouched), or all ranks join a memory
     allgather (charging the re-coordination time) and compute an
-    identical replacement via :func:`replace_failed_domains`.
+    identical replacement via :func:`replace_failed_domains`.  Callers
+    enter it only while ``Cluster.failed_hosts`` is non-zero, so the
+    fault-free probe is one integer test per rank-round.
     """
     ctx, comm = run.ctx, run.comm
     orphaned = any(
@@ -589,6 +801,11 @@ def _failover_check(run: _RunContext, t: int):
         run.failover_config,
         failed_nodes,
     )
+    if decision.moved:
+        run.agg_dids = [
+            did for did, d in enumerate(decision.domains)
+            if d.aggregator_rank == ctx.rank
+        ]
     for did in decision.moved:
         old = run.domains[did]
         new = decision.domains[did]
@@ -619,22 +836,6 @@ def _failover_check(run: _RunContext, t: int):
 # ---------------------------------------------------------------------------
 # pipelined execution (lockstep shuffle, PFS service overlapped)
 # ---------------------------------------------------------------------------
-def _half_round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
-    """Sub-round `t`'s half-window of `domain`, or None past the last one.
-
-    The pipelined executor splits each planned aggregation buffer into
-    two half-sized slots, so its physical round `t` covers half a
-    blocking round — the whole pipeline fits in the *planned* memory
-    footprint, with no extra allocation.
-    """
-    half = (domain.buffer_bytes + 1) // 2
-    lo = domain.extent.offset + t * half
-    if lo >= domain.extent.end:
-        return None
-    hi = min(domain.extent.end, lo + half)
-    return Extent(lo, hi - lo)
-
-
 def _run_pipelined(run: _RunContext, failover_config):
     """Lockstep sub-rounds with the PFS stage running behind the shuffle.
 
@@ -652,35 +853,28 @@ def _run_pipelined(run: _RunContext, failover_config):
     nominal (planned) round count are identical to the blocking path —
     only the overlap structure differs.
 
-    A host failure noticed at a round boundary degrades the rest of the
-    run in place: in-flight write drains are awaited (already-prefetched
-    read windows are consumed, never re-read), `failover_config` is
-    re-armed so :func:`_failover_check` guards the remaining sub-rounds,
-    and each remaining window runs its PFS stage inline — the blocking
-    behaviour, at half-window granularity.
+    The half-windows come from the plan's half-buffer
+    :class:`RoundSchedule`.  A host failure noticed at a round boundary
+    degrades the rest of the run in place: in-flight write drains are
+    awaited (already-prefetched read windows are consumed, never
+    re-read), `failover_config` is re-armed so :func:`_failover_check`
+    guards the remaining sub-rounds, and each remaining window runs its
+    PFS stage inline — the blocking behaviour, at half-window
+    granularity.
     """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
+    ctx, comm, sched = run.ctx, run.comm, run.sched
     env = ctx.env
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
-    ntimes = max(
-        (
-            rounds_for(d.extent.length, (d.buffer_bytes + 1) // 2)
-            for d in run.domains
-        ),
-        default=0,
-    )
+    sends_by_round = sched.rank_rounds(ctx.rank)
     #: (did, window) -> in-flight background PFS-service process
     service: dict[tuple[int, int], object] = {}
     degraded = False
-    for t in range(ntimes):
+    for t in range(sched.ntimes):
         if tracer.enabled:
             tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
         try:
-            if not degraded and any(
-                node.failed for node in comm.cluster.nodes
-            ):
+            if not degraded and comm.cluster.failed_hosts:
                 # drain the in-flight windows, then run the rest of
                 # the operation at blocking fidelity with failover
                 degraded = True
@@ -693,14 +887,12 @@ def _run_pipelined(run: _RunContext, failover_config):
                         yield env.all_of(pending)
                     service.clear()
                 run.stats.extra.setdefault("pipeline_drained_at", t)
-            if degraded and run.failover_config is not None:
+            if run.failover_config is not None and comm.cluster.failed_hosts:
                 yield from _failover_check(run, t)
             procs = []
-            for did, domain in enumerate(run.domains):
-                window = _half_round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
+            for did, role in _round_slots(run, t, sends_by_round.get(t, ())):
+                window = sched.windows[did][t]
+                if role == 0:
                     procs.append(
                         ctx.spawn(
                             _pipeline_aggregator_window(
@@ -709,9 +901,7 @@ def _run_pipelined(run: _RunContext, failover_config):
                             name=f"rank{ctx.rank}.pagg{did}.r{t}",
                         )
                     )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
+                else:
                     procs.append(
                         ctx.spawn(
                             _member_window(run, did, window, t),
@@ -750,7 +940,7 @@ def _pipeline_collect(
     prev = service.pop((did, t - 2), None)
     if prev is not None:
         yield prev
-    expected = _expected_senders(run, did, window)
+    expected = run.sched.senders[did][t]
     buffer: Optional[np.ndarray] = None
     received = 0
     for _ in range(len(expected)):
@@ -812,7 +1002,7 @@ def _pipeline_scatter(
 ):
     """Shuffle-out stage of one read window; prefetches run in background."""
     ctx, comm, env = run.ctx, run.comm, run.ctx.env
-    domain = run.domains[did]
+    windows = run.sched.windows[did]
     pf = service.pop((did, t), None)
     if pf is None:
         # round 0, or degraded mode: fetch this window inline
@@ -822,7 +1012,7 @@ def _pipeline_scatter(
         )
     yield pf
     buffer, total_read = pf.value
-    nxt = None if degraded else _half_round_extent(domain, t + 1)
+    nxt = None if degraded or t + 1 >= len(windows) else windows[t + 1]
     if nxt is not None and (did, t + 1) not in service:
         # prefetch the next window into the other slot: the OST reads
         # run behind this window's scatter
@@ -837,19 +1027,13 @@ def _pipeline_scatter(
         return
     paged = run.paged_flags.get(did, False)
     yield from run.node.memcopy(total_read, paged=paged)
-    expected = _expected_senders(run, did, window)
+    expected = run.sched.senders[did][t]
     sends = []
     for r in expected:
-        q = run.patterns[r].clip(window.offset, window.end)
-        data = None
-        if buffer is not None:
-            data = np.empty(q.nbytes, dtype=np.uint8)
-            for off, ln, qbuf in q.iter_mapped_extents():
-                rel = off - window.offset
-                data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
+        nbytes, data = _slice_for(run, r, window, buffer)
         sends.append(
             comm.isend(
-                ctx, r, q.nbytes, tag=(run.op_seq, did, t),
+                ctx, r, nbytes, tag=(run.op_seq, did, t),
                 payload=data, paged_dst=paged,
             )
         )
@@ -862,7 +1046,7 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
     ctx = run.ctx
     tracer = ctx.env.tracer
     t0 = tracer.now() if tracer.enabled else 0.0
-    expected = _expected_senders(run, did, window)
+    expected = run.sched.senders[did][t]
     if not expected:
         return None, 0
     buffer: Optional[np.ndarray] = (
@@ -892,59 +1076,15 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 
 # ---------------------------------------------------------------------------
 # batched execution (lockstep rounds, node-aggregated wire transfers)
+#
+# Same round structure, barrier discipline, and bytes delivered as plain
+# lockstep, but each round's inter-node shuffle crosses the wire as one
+# batched transfer per (source node, aggregator) pair: write contributors
+# stage their bytes to a per-node leader over the intra-node path and the
+# leader issues one closed-form :meth:`~repro.mpi.comm.SimComm.batched_send`;
+# read aggregators scatter with one batched send per destination node.
+# Co-located members keep the per-rank shared-memory path either way.
 # ---------------------------------------------------------------------------
-def _run_batched(run: _RunContext):
-    """Lockstep rounds with node-aggregated shuffle transfers.
-
-    Same round structure, barrier discipline, and bytes delivered as
-    :func:`_run_lockstep`, but each round's inter-node shuffle crosses
-    the wire as one batched transfer per (source node, aggregator) pair:
-    write contributors stage their bytes to a per-node leader over the
-    intra-node path and the leader issues one closed-form
-    :meth:`~repro.mpi.comm.SimComm.batched_send`; read aggregators
-    scatter with one batched send per destination node.  Co-located
-    members keep the per-rank shared-memory path either way.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    ntimes = plan.ntimes
-    tracer = ctx.env.tracer
-    pid = comm.placement[ctx.rank]
-    for t in range(ntimes):
-        if tracer.enabled:
-            tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
-        try:
-            procs = []
-            for did, domain in enumerate(run.domains):
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
-                    procs.append(
-                        ctx.spawn(
-                            _aggregator_window_batched(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
-                            name=f"rank{ctx.rank}.agg{did}.r{t}",
-                        )
-                    )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
-                    procs.append(
-                        ctx.spawn(
-                            _member_window_batched(run, did, window, t),
-                            name=f"rank{ctx.rank}.m{did}.r{t}",
-                        )
-                    )
-            if procs:
-                yield ctx.env.all_of(procs)
-            yield from comm.barrier(ctx)
-        finally:
-            if tracer.enabled:
-                tracer.end(pid, ctx.rank, round=t)
-
-
 def _aggregator_window_batched(
     run: _RunContext, did: int, window: Extent, t: int, paged: bool
 ):
@@ -995,7 +1135,7 @@ def _member_window_batched(run: _RunContext, did: int, window: Extent, t: int):
     # remote contributors on one node pool their round contribution into
     # a single wire transfer (intra-node staging hops + one batch)
     n_local = 0
-    for r in _expected_senders(run, did, window):
+    for r in run.sched.senders[did][t]:
         if comm.node_id_of_rank(r) == my_node:
             n_local += 1
     yield from comm.staged_batched_send(
@@ -1010,74 +1150,26 @@ def _member_window_batched(run: _RunContext, did: int, window: Extent, t: int):
 # ---------------------------------------------------------------------------
 # intra-node aggregation (lockstep rounds, leader-coalesced shuffle)
 # ---------------------------------------------------------------------------
-def _run_intra_node(run: _RunContext):
-    """Lockstep rounds with per-node leader-coalesced shuffle.
-
-    Same round structure, barrier discipline, and bytes delivered as
-    :func:`_run_lockstep`, but for every (node, domain, window) with the
-    aggregator on a *different* node, the node's lowest-ranked window
-    sender acts as leader: on writes the co-located senders hand their
-    slices to the leader over the shared-memory path and the leader
-    ships one :class:`_IntraNodeBundle` per aggregator; on reads the
-    aggregator sends the leader one bundle and the leader fans the
-    slices out locally.  Co-located members keep the per-rank path.
-    Leader staging memory is committed against the node's available
-    memory for the life of the pooled transfer, so the memory-conscious
-    accounting still sees the coalesced buffers.
-    """
-    ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    ntimes = plan.ntimes
-    tracer = ctx.env.tracer
-    pid = comm.placement[ctx.rank]
-    for t in range(ntimes):
-        if tracer.enabled:
-            tracer.begin("shuffle", "shuffle.round", pid, ctx.rank, round=t)
-        try:
-            procs = []
-            member = False
-            for did, domain in enumerate(run.domains):
-                window = _round_extent(domain, t)
-                if window is None:
-                    continue
-                if domain.aggregator_rank == ctx.rank:
-                    procs.append(
-                        ctx.spawn(
-                            _aggregator_window_ina(
-                                run, did, window, t, run.paged_flags[did]
-                            ),
-                            name=f"rank{ctx.rank}.agg{did}.r{t}",
-                        )
-                    )
-                if plan.is_window_sender(
-                    ctx.rank, did, window.offset, window.end, patterns
-                ):
-                    member = True
-            if member:
-                procs.append(
-                    ctx.spawn(
-                        _member_round_ina(run, t),
-                        name=f"rank{ctx.rank}.ina.r{t}",
-                    )
-                )
-            if procs:
-                yield ctx.env.all_of(procs)
-            yield from comm.barrier(ctx)
-        finally:
-            if tracer.enabled:
-                tracer.end(pid, ctx.rank, round=t)
-
-
-def _ina_groups(run: _RunContext, did: int, window: Extent) -> dict[int, list[int]]:
-    return run.plan.window_node_groups(
-        did, window.offset, window.end, run.patterns, run.comm.placement
-    )
+#
+# Same round structure, barrier discipline, and bytes delivered as plain
+# lockstep, but for every (node, domain, window) with the aggregator on a
+# *different* node, the node's lowest-ranked window sender acts as leader:
+# on writes the co-located senders hand their slices to the leader over
+# the shared-memory path and the leader ships one :class:`_IntraNodeBundle`
+# per aggregator; on reads the aggregator sends the leader one bundle and
+# the leader fans the slices out locally.  Co-located members keep the
+# per-rank path.  Leader staging memory is committed against the node's
+# available memory for the life of the pooled transfer, so the
+# memory-conscious accounting still sees the coalesced buffers.
+# ---------------------------------------------------------------------------
+def _ina_groups(run: _RunContext, did: int, t: int) -> dict[int, list[int]]:
+    return run.sched.node_groups(did, t, run.comm.placement)
 
 
 def _ina_message_count(
-    run: _RunContext, did: int, window: Extent, failed_nodes: frozenset = frozenset()
+    run: _RunContext, did: int, t: int, failed_nodes: frozenset = frozenset()
 ) -> int:
-    """Messages the aggregator drains for `window`: locals + one per node.
+    """Messages the aggregator drains for window `t`: locals + one per node.
 
     Nodes in `failed_nodes` ship per-rank (leader bundling is degraded
     there — see :func:`_member_round_ina_write`), so they count like the
@@ -1085,7 +1177,7 @@ def _ina_message_count(
     """
     agg_node = run.comm.node_id_of_rank(run.domains[did].aggregator_rank)
     n = 0
-    for nid, ranks in _ina_groups(run, did, window).items():
+    for nid, ranks in _ina_groups(run, did, t).items():
         n += len(ranks) if (nid == agg_node or nid in failed_nodes) else 1
     return n
 
@@ -1095,12 +1187,11 @@ def _ina_leader_count(run: _RunContext, t: int, node_id: int) -> int:
     comm = run.comm
     leaders = set()
     for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
+        if t >= len(run.sched.windows[did]):
             continue
         if comm.node_id_of_rank(domain.aggregator_rank) == node_id:
             continue
-        local = _ina_groups(run, did, window).get(node_id)
+        local = _ina_groups(run, did, t).get(node_id)
         if local:
             leaders.add(local[0])
     return len(leaders)
@@ -1113,7 +1204,7 @@ def _aggregator_window_ina(
     if run.op == "write":
         yield from _collect_and_write(
             run, did, window, t, paged, io_rounds=None, batched=True,
-            n_msgs=_ina_message_count(run, did, window, snap),
+            n_msgs=_ina_message_count(run, did, t, snap),
         )
     else:
         yield from _read_and_scatter(
@@ -1122,14 +1213,14 @@ def _aggregator_window_ina(
         )
 
 
-def _member_round_ina(run: _RunContext, t: int):
+def _member_round_ina(run: _RunContext, t: int, sends_to):
     if run.op == "write":
-        yield from _member_round_ina_write(run, t)
+        yield from _member_round_ina_write(run, t, sends_to)
     else:
-        yield from _member_round_ina_read(run, t)
+        yield from _member_round_ina_read(run, t, sends_to)
 
 
-def _member_round_ina_write(run: _RunContext, t: int):
+def _member_round_ina_write(run: _RunContext, t: int, sends_to):
     """One rank's whole write-shuffle round under intra-node aggregation.
 
     Slices bound for a co-located aggregator go straight to it; slices
@@ -1147,21 +1238,15 @@ def _member_round_ina_write(run: _RunContext, t: int):
     leader counts the degradation.
     """
     ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    my_pattern = patterns[ctx.rank]
+    my_pattern = run.patterns[ctx.rank]
     my_node = comm.node_id_of_rank(ctx.rank)
     env = ctx.env
     snap = run.stats.failed_nodes_snapshot((run.op_seq, t), comm.cluster)
     sends = []
     duties = []  # (did, local senders, my slice, packed data, wire paged flag)
-    for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
-            continue
-        if not plan.is_window_sender(
-            ctx.rank, did, window.offset, window.end, patterns
-        ):
-            continue
+    for did in sends_to:
+        domain = run.domains[did]
+        window = run.sched.windows[did][t]
         q = my_pattern.clip(window.offset, window.end)
         agg = domain.aggregator_rank
         same_node = comm.node_id_of_rank(agg) == my_node
@@ -1180,7 +1265,7 @@ def _member_round_ina_write(run: _RunContext, t: int):
                 )
             )
             continue
-        local = _ina_groups(run, did, window)[my_node]
+        local = _ina_groups(run, did, t)[my_node]
         if my_node in snap:
             sends.append(
                 comm.isend(
@@ -1254,7 +1339,7 @@ def _member_round_ina_write(run: _RunContext, t: int):
         yield env.all_of(sends)
 
 
-def _member_round_ina_read(run: _RunContext, t: int):
+def _member_round_ina_read(run: _RunContext, t: int, sends_to):
     """One rank's whole read-shuffle round under intra-node aggregation.
 
     Slices from a co-located aggregator arrive per-rank as usual; each
@@ -1270,21 +1355,15 @@ def _member_round_ina_read(run: _RunContext, t: int):
     degradation.
     """
     ctx, comm = run.ctx, run.comm
-    plan, patterns = run.plan, run.patterns
-    my_pattern = patterns[ctx.rank]
+    my_pattern = run.patterns[ctx.rank]
     my_node = comm.node_id_of_rank(ctx.rank)
     env = ctx.env
     snap = run.stats.failed_nodes_snapshot((run.op_seq, t), comm.cluster)
     forwards = []
     staging = []
-    for did, domain in enumerate(run.domains):
-        window = _round_extent(domain, t)
-        if window is None:
-            continue
-        if not plan.is_window_sender(
-            ctx.rank, did, window.offset, window.end, patterns
-        ):
-            continue
+    for did in sends_to:
+        domain = run.domains[did]
+        window = run.sched.windows[did][t]
         agg = domain.aggregator_rank
         same_node = comm.node_id_of_rank(agg) == my_node
         q = my_pattern.clip(window.offset, window.end)
@@ -1295,7 +1374,7 @@ def _member_round_ina_read(run: _RunContext, t: int):
             if run.payload is not None and msg.payload is not None:
                 _unpack_payload(my_pattern, run.payload, q, msg.payload)
             continue
-        local = _ina_groups(run, did, window)[my_node]
+        local = _ina_groups(run, did, t)[my_node]
         if my_node in snap:
             msg = yield from comm.recv(ctx, source=agg, tag=tag)
             run.stats.record_shuffle(msg.nbytes, same_node=False)
@@ -1385,29 +1464,33 @@ def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int)
     my_pattern = run.patterns[ctx.rank]
     agg = domain.aggregator_rank
     same_node = comm.node_id_of_rank(agg) == comm.node_id_of_rank(ctx.rank)
-    q = my_pattern.clip(window.offset, window.end)
-    if q.empty:
+    lo, hi = window.offset, window.end
+    # metadata-only runs need just the byte count, not the clipped view
+    nbytes = my_pattern.bytes_in(lo, hi)
+    if not nbytes:
         return
     tag = (run.op_seq, did, tag_round)
     if run.op == "write":
         data = (
-            _pack_payload(my_pattern, run.payload, q)
+            _pack_payload(my_pattern, run.payload, my_pattern.clip(lo, hi))
             if run.payload is not None
             else None
         )
-        run.stats.record_shuffle(q.nbytes, same_node=same_node)
+        run.stats.record_shuffle(nbytes, same_node=same_node)
         # physical effect, not a planning decision: if the aggregator's
         # node is overcommitted, inbound data lands at paging speed
         agg_node = comm.node_of_rank(agg)
         paged_wire = domain.paged or agg_node.memory.overcommitted
         yield from comm.send(
-            ctx, agg, q.nbytes, tag=tag, payload=data, paged_dst=paged_wire
+            ctx, agg, nbytes, tag=tag, payload=data, paged_dst=paged_wire
         )
     else:
         msg = yield from comm.recv(ctx, source=agg, tag=tag)
         run.stats.record_shuffle(msg.nbytes, same_node=same_node)
         if run.payload is not None and msg.payload is not None:
-            _unpack_payload(my_pattern, run.payload, q, msg.payload)
+            _unpack_payload(
+                my_pattern, run.payload, my_pattern.clip(lo, hi), msg.payload
+            )
 
 
 def _member_window(run: _RunContext, did: int, window: Extent, t: int):
@@ -1446,12 +1529,6 @@ def _borrow_stage(run: _RunContext, did: int, lease, nbytes: int, inbound: bool)
             comm.placement[ctx.rank], ctx.rank, t0, tracer.now() - t0,
             domain=did, lender=lease.lender_node, bytes=nbytes,
         )
-
-
-def _expected_senders(run: _RunContext, did: int, window: Extent) -> list[int]:
-    return run.plan.window_senders(
-        did, window.offset, window.end, run.patterns
-    )
 
 
 def _aggregator_window(
@@ -1495,7 +1572,10 @@ def _collect_and_write(
     node instead of one message per remote rank).
     """
     ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
-    expected = _expected_senders(run, did, window)
+    expected = (
+        run.plan.senders[did] if io_rounds is not None
+        else run.sched.senders[did][t]
+    )
     count = len(expected) if n_msgs is None else n_msgs
     if batched:
         msgs = yield from comm.recv_many(
@@ -1573,7 +1653,10 @@ def _read_and_scatter(
     crippled, so their members get plain per-rank sends instead.
     """
     ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
-    expected = _expected_senders(run, did, window)
+    expected = (
+        run.plan.senders[did] if io_rounds is not None
+        else run.sched.senders[did][t]
+    )
     if not expected:
         return
     buffer: Optional[np.ndarray] = (
@@ -1609,26 +1692,20 @@ def _read_and_scatter(
     by_node: dict[int, list] = {}
     my_node = comm.node_id_of_rank(ctx.rank)
     for r in expected:
-        q = run.patterns[r].clip(window.offset, window.end)
-        data = None
-        if buffer is not None:
-            data = np.empty(q.nbytes, dtype=np.uint8)
-            for off, ln, qbuf in q.iter_mapped_extents():
-                rel = off - window.offset
-                data[qbuf : qbuf + ln] = buffer[rel : rel + ln]
+        nbytes, data = _slice_for(run, r, window, buffer)
         tag = (run.op_seq, did, t)
         dest_node = comm.node_id_of_rank(r)
         if intra_node and dest_node != my_node and dest_node not in failed_nodes:
-            by_node.setdefault(dest_node, []).append((r, q.nbytes, data))
+            by_node.setdefault(dest_node, []).append((r, nbytes, data))
             continue
         if batched and dest_node != my_node:
             by_node.setdefault(dest_node, []).append(
-                (ctx.rank, r, q.nbytes, tag, data)
+                (ctx.rank, r, nbytes, tag, data)
             )
             continue
         sends.append(
             comm.isend(
-                ctx, r, q.nbytes, tag=tag, payload=data, paged_dst=paged
+                ctx, r, nbytes, tag=tag, payload=data, paged_dst=paged
             )
         )
     for dest_node in sorted(by_node):

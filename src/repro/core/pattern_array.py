@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.request import AccessPattern, Extent
 
-__all__ = ["PatternArray"]
+__all__ = ["PatternArray", "union_intervals"]
 
 #: Mirrors ``repro.core.engine._UNION_BLOCK_LIMIT``: beyond this many
 #: blocks a window union degrades to one covering extent.
@@ -203,8 +203,6 @@ class PatternArray(Sequence):
         covering extent, and touching blocks merge.
         """
         ranks = np.asarray(ranks, dtype=np.int64)
-        if ranks.size == 0:
-            return []
         starts = np.maximum(self._starts[ranks], lo)
         ends = np.minimum(self._ends[ranks], hi)
         keep = ends > starts
@@ -214,14 +212,21 @@ class PatternArray(Sequence):
         if starts.size > _UNION_BLOCK_LIMIT:
             base = int(starts.min())
             return [Extent(base, int(ends.max()) - base)]
-        order = np.argsort(starts, kind="stable")
-        starts, ends = starts[order], ends[order]
-        reach = np.maximum.accumulate(ends)
-        # a new run begins where a block starts past everything seen so far
-        breaks = np.flatnonzero(starts[1:] > reach[:-1]) + 1
-        run_starts = np.concatenate(([0], breaks))
-        run_ends = np.concatenate((breaks, [starts.size])) - 1
-        return [
-            Extent(int(starts[i]), int(reach[j]) - int(starts[i]))
-            for i, j in zip(run_starts, run_ends)
-        ]
+        return union_intervals(starts, ends)
+
+
+def union_intervals(starts: np.ndarray, ends: np.ndarray) -> list[Extent]:
+    """Exact union of one or more non-empty blocks ``[starts[i], ends[i])``.
+
+    The one array interval union, shared by :meth:`PatternArray.
+    union_extents` and the engine's strided window union.  Starts and
+    ends are sorted independently: the covered-block count drops to zero
+    exactly where the next start lies past the current end, so those
+    are the breaks between extents, and touching blocks merge, like
+    :func:`~repro.core.request.coalesce_extents`.
+    """
+    starts, ends = np.sort(starts), np.sort(ends)
+    breaks = np.flatnonzero(starts[1:] > ends[:-1])
+    firsts = starts[np.concatenate(([0], breaks + 1))].tolist()
+    lasts = ends[np.concatenate((breaks, [ends.size - 1]))].tolist()
+    return [Extent(lo, hi - lo) for lo, hi in zip(firsts, lasts)]

@@ -18,8 +18,8 @@ finished plan by a deterministic signature of everything planning reads:
   ``Msg_ind`` threshold forces a replan.
 
 A hit returns the cached ``(plan, tier, reason)`` triple — including the
-:class:`~repro.core.engine.ExecutionPlan` with its per-window sender
-memos already warm.  Entries are dropped three ways:
+:class:`~repro.core.engine.ExecutionPlan` with its compiled round
+schedule already built.  Entries are dropped three ways:
 
 * **stale digest** — the signature matches but a node's memory crossed a
   bucket boundary since the plan was built (counted as an invalidation,

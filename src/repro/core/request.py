@@ -345,31 +345,45 @@ class AccessPattern:
         return sum(s.count for s in self.segments)
 
     # ------------------------------------------------------------------
-    def bytes_in(self, lo: int, hi: int) -> int:
-        """Bytes requested inside ``[lo, hi)``."""
-        if hi <= lo or self.empty:
-            return 0
-        # segments are ordered; only those intersecting [lo, hi) contribute
-        i = bisect.bisect_left(self._starts, lo)
+    def _span(self, lo: int, hi: int) -> tuple[int, int]:
+        """Index range ``[i, j)`` of the segments whose span meets ``[lo, hi)``.
+
+        Segments are ordered and disjoint, so only the one before the
+        first start past `lo` can reach back into the window, and every
+        segment strictly between ``i`` and ``j - 1`` lies wholly inside it.
+        """
+        starts = self._starts
+        if hi <= lo or not starts:
+            return 0, 0
+        i = bisect.bisect_left(starts, lo)
         if i > 0 and self.segments[i - 1].end > lo:
             i -= 1
-        total = 0
-        while i < len(self.segments) and self.segments[i].start < hi:
-            total += self.segments[i].bytes_in(lo, hi)
-            i += 1
+        return i, bisect.bisect_left(starts, hi, i)
+
+    def segments_in(self, lo: int, hi: int) -> tuple[StridedSegment, ...]:
+        """The segments whose span meets ``[lo, hi)``, in file order."""
+        i, j = self._span(lo, hi)
+        return self.segments[i:j]
+
+    def bytes_in(self, lo: int, hi: int) -> int:
+        """Bytes requested inside ``[lo, hi)`` — O(log segments)."""
+        i, j = self._span(lo, hi)
+        if i == j:
+            return 0
+        segs = self.segments
+        total = segs[i].bytes_in(lo, hi)
+        if j - i > 1:
+            # only the end segments can be cut; the prefix sums cover
+            # the ones between
+            total += self._prefix[j - 1] - self._prefix[i + 1]
+            total += segs[j - 1].bytes_in(lo, hi)
         return total
 
     def clip(self, lo: int, hi: int) -> "AccessPattern":
         """Sub-pattern inside ``[lo, hi)``."""
-        if hi <= lo or self.empty:
-            return AccessPattern(())
         pieces: list[StridedSegment] = []
-        i = bisect.bisect_left(self._starts, lo)
-        if i > 0 and self.segments[i - 1].end > lo:
-            i -= 1
-        while i < len(self.segments) and self.segments[i].start < hi:
-            pieces.extend(self.segments[i].clip(lo, hi))
-            i += 1
+        for seg in self.segments_in(lo, hi):
+            pieces.extend(seg.clip(lo, hi))
         return AccessPattern(tuple(pieces))
 
     def buffer_position(self, file_offset: int) -> int:

@@ -67,7 +67,7 @@ def vectorization_refusal(engine, payloads=None) -> Optional[str]:
         return "data-plane"
     if any(len(inj.schedule) > 0 for inj in engine._fault_injectors):
         return "fault-schedule"
-    if any(node.failed for node in engine.comm.cluster.nodes):
+    if engine.comm.cluster.failed_hosts:
         return "failed-nodes"
     if engine.comm.cluster.memory_ledger.outstanding > 0:
         return "active-leases"
@@ -110,7 +110,7 @@ def _collective_time(comm, nbytes_max: int) -> float:
     return hops * (latency + nbytes_max / comm.metadata_bandwidth)
 
 
-def _window_node_traffic(patterns, plan, placement_arr, did, window):
+def _window_node_traffic(patterns, plan, placement_arr, did, t, window):
     """``[(node_id, [per-rank bytes])]`` of the window's senders, by node.
 
     Node ids ascend; sizes inside a node follow rank order — the same
@@ -128,7 +128,7 @@ def _window_node_traffic(patterns, plan, placement_arr, did, window):
         for node_id in np.unique(nodes).tolist():
             out.append((node_id, sizes[nodes == node_id].tolist()))
         return out
-    senders = plan.window_senders(did, lo, hi, patterns)
+    senders = plan.schedule(patterns).senders[did][t]
     if not senders:
         return []
     by_node: dict[int, list[int]] = {}
@@ -139,12 +139,12 @@ def _window_node_traffic(patterns, plan, placement_arr, did, window):
     return sorted(by_node.items())
 
 
-def _window_union(patterns, plan, did, window):
+def _window_union(patterns, plan, did, t, window):
     """Union of the window senders' requested extents (I/O piece list)."""
     if isinstance(patterns, PatternArray):
         idx = patterns.senders_in(window.offset, window.end)
         return patterns.union_extents(idx, window.offset, window.end)
-    senders = plan.window_senders(did, window.offset, window.end, patterns)
+    senders = plan.schedule(patterns).senders[did][t]
     return _union_extents(patterns, senders, window)
 
 
@@ -217,8 +217,8 @@ def run_vectorized_collective(
     barrier_t = _collective_time(comm, 0)
     tracer = env.tracer
 
-    def _write_window(did, window, agg_node, paged, paged_wire):
-        traffic = _window_node_traffic(patterns, plan, placement_arr, did, window)
+    def _write_window(did, t, window, agg_node, paged, paged_wire):
+        traffic = _window_node_traffic(patterns, plan, placement_arr, did, t, window)
         received = 0
         for node_id, sizes in traffic:
             nbytes = sum(sizes)
@@ -230,17 +230,17 @@ def run_vectorized_collective(
         if received == 0:
             return
         yield from agg_node.memcopy(received, paged=paged)
-        for piece in _window_union(patterns, plan, did, window):
+        for piece in _window_union(patterns, plan, did, t, window):
             yield from pfs.write_extent(agg_node, piece, None)
             stats.record_bytes(piece.length)
             stats.record_io_extent(piece.offset, piece.length)
 
-    def _read_window(did, window, agg_node, paged, paged_wire):
-        traffic = _window_node_traffic(patterns, plan, placement_arr, did, window)
+    def _read_window(did, t, window, agg_node, paged, paged_wire):
+        traffic = _window_node_traffic(patterns, plan, placement_arr, did, t, window)
         if not traffic:
             return
         total_read = 0
-        for piece in _window_union(patterns, plan, did, window):
+        for piece in _window_union(patterns, plan, did, t, window):
             yield from pfs.read_extent(agg_node, piece)
             total_read += piece.length
             stats.record_bytes(piece.length)
@@ -310,7 +310,7 @@ def run_vectorized_collective(
                     procs.append(
                         env.process(
                             run_window(
-                                did, window, agg_node,
+                                did, t, window, agg_node,
                                 paged_flags[did], paged_wire[did],
                             ),
                             name=f"vec.d{did}.r{t}",
