@@ -100,7 +100,8 @@ def test_event_loop_chain_traced(benchmark):
 
 
 # ---------------------------------------------------------------------------
-# shuffle round: per-message vs batched granularity
+# shuffle round: per-message sends vs the pooled comm primitives
+# (staged_batched_send + recv_many) intra-node aggregation ships through
 # ---------------------------------------------------------------------------
 N_RANKS, N_NODES, CORES = 48, 12, 4
 

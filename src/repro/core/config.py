@@ -9,22 +9,10 @@ Two engines, two configs:
   tuning parameters (``msg_group``, ``msg_ind``, ``mem_min``, ``nah``)
   plus the same nominal buffer size the evaluation sweeps.
 
-``shuffle_granularity`` trades simulation fidelity for event count:
-
-* ``"round"`` sends one shuffle message per (rank, aggregator, round)
-  like the real protocol — the reference fidelity level;
-* ``"batched"`` keeps the lockstep round structure and every byte of
-  traffic, but aggregates each round's shuffle into one wire transfer
-  per (source node, aggregator) pair with a closed-form serialization
-  model (``latency x n_messages`` up front, then the summed bytes) —
-  same data delivered, far fewer simulation events.  When fault
-  machinery is engaged (mid-run failover enabled, or hosts already
-  failed) execution silently falls back to the per-message ``"round"``
-  path so degraded-mode behaviour stays exact;
-* ``"domain"`` batches a rank's traffic to an aggregator into one
-  message per file domain and charges the extra per-round latency
-  analytically — required to simulate 1000+ rank runs in reasonable
-  time, at the cost of under-charging synchronisation stalls.
+Every per-rank collective runs ROMIO's lockstep round loop: all ranks
+advance through the buffer rounds together, so a slow aggregator stalls
+everyone.  The options below change how the rounds are planned and how
+their traffic is routed, never the lockstep itself.
 """
 
 from __future__ import annotations
@@ -39,19 +27,10 @@ __all__ = [
     "MCIOConfig",
     "ExecutionMode",
     "PlacementPolicy",
-    "ShuffleGranularity",
 ]
 
-ShuffleGranularity = Literal["round", "batched", "domain"]
 PlacementPolicy = Literal["remerge", "borrow", "hybrid"]
 ExecutionMode = Literal["per-rank", "vectorized", "auto", "sharded"]
-
-
-def _check_common(cb_buffer_size: int, shuffle_granularity: str) -> None:
-    if cb_buffer_size < 1:
-        raise ValueError("cb_buffer_size must be >= 1")
-    if shuffle_granularity not in ("round", "batched", "domain"):
-        raise ValueError(f"bad shuffle_granularity {shuffle_granularity!r}")
 
 
 @dataclass(frozen=True)
@@ -69,27 +48,24 @@ class TwoPhaseConfig:
     stripe_align:
         Align file-domain boundaries down to stripe boundaries, avoiding
         two aggregators splitting one stripe (lock contention in Lustre).
-    shuffle_granularity:
-        See module docstring.
     intra_node_aggregation:
         Opt-in leader-coalesced shuffle: one leader rank per (node, file
         domain, window) collects its co-located ranks' window slices
         over the memory bus and ships them to the aggregator as a single
         wire message, cutting per-round inter-node messages from
         O(ranks touching the window) to O(nodes touching the window).
-        Ignored at ``"domain"`` granularity, and execution falls back to
-        the exact per-message path whenever fault machinery is engaged
-        (same rule as ``"batched"``).
+        Execution falls back to the exact per-message path whenever
+        fault machinery is armed.
     """
 
     cb_buffer_size: int = 16 * MIB
     cb_nodes: Optional[int] = None
     stripe_align: bool = True
-    shuffle_granularity: ShuffleGranularity = "round"
     intra_node_aggregation: bool = False
 
     def __post_init__(self) -> None:
-        _check_common(self.cb_buffer_size, self.shuffle_granularity)
+        if self.cb_buffer_size < 1:
+            raise ValueError("cb_buffer_size must be >= 1")
         if self.cb_nodes is not None and self.cb_nodes < 1:
             raise ValueError("cb_nodes must be >= 1")
 
@@ -135,13 +111,11 @@ class MCIOConfig:
     min_buffer:
         Smallest buffer the adaptive path accepts; below this the domain
         is remerged (or placed paged as a last resort).
-    shuffle_granularity:
-        See module docstring.
     failover:
         Degraded-mode execution: when an aggregator's host fails
         mid-operation, re-place the orphaned domains on the next-best
-        live hosts between lockstep rounds (``"round"`` granularity
-        only).  With no faults injected this is timing-neutral.
+        live hosts between lockstep rounds.  With no faults injected
+        this is timing-neutral.
     fallback_chain:
         Graceful planning degradation: if MCIO planning raises
         :class:`~repro.core.aggregator_selection.PlacementError`, fall
@@ -169,9 +143,8 @@ class MCIOConfig:
         the node's available memory) and ships them to the aggregator
         as a single wire message per (node, domain, window) — per-round
         inter-node messages drop from O(ranks touching the window) to
-        O(nodes touching the window).  Ignored at ``"domain"``
-        granularity; falls back to the exact per-message path whenever
-        fault machinery is engaged (same rule as ``"batched"``), which
+        O(nodes touching the window).  Falls back to the exact
+        per-message path whenever fault machinery is armed, which
         includes ``failover=True``.
     placement_policy:
         What to do when a leaf's candidate hosts cannot supply the
@@ -236,7 +209,6 @@ class MCIOConfig:
     memory_oblivious: bool = False
     adaptive_buffer: bool = True
     min_buffer: int = 1 * MIB
-    shuffle_granularity: ShuffleGranularity = "round"
     failover: bool = True
     fallback_chain: bool = True
     plan_cache: bool = False
@@ -250,7 +222,8 @@ class MCIOConfig:
     execution_mode: ExecutionMode = "per-rank"
 
     def __post_init__(self) -> None:
-        _check_common(self.cb_buffer_size, self.shuffle_granularity)
+        if self.cb_buffer_size < 1:
+            raise ValueError("cb_buffer_size must be >= 1")
         if self.msg_group < 1:
             raise ValueError("msg_group must be >= 1")
         if self.msg_ind < 1:

@@ -22,17 +22,14 @@ Round synchronisation.  ROMIO's ``ADIOI_Exch_and_write`` loops a global
 ``ntimes = max(rounds over aggregators)`` with an all-to-all exchange per
 iteration, so every rank advances through buffer rounds in lockstep; a
 slow aggregator (paged buffer, contended server) stalls *everyone* each
-round.  ``granularity="round"`` reproduces exactly that.  The round
+round.  Every per-rank executor reproduces exactly that.  The round
 structure is compiled once per plan into a :class:`RoundSchedule`
 (every domain's windows, each window's senders, and a per-rank index of
 the (round, domain) slots a rank sends to), so each rank still runs all
 ``ntimes`` rounds and barriers, but spawns work only for its own slots
-instead of rescanning every domain every round.
-``granularity="domain"`` instead batches each (rank, aggregator) pair's
-traffic into one message and lets aggregators stream their rounds
-without global synchronisation — far fewer simulation events, at the
-cost of under-charging synchronisation stalls; use it for 1000+ rank
-runs.
+instead of rescanning every domain every round.  Intra-node aggregation
+and the pipelined executor keep the same lockstep rounds; they change
+how a round's shuffle crosses the wire and when its PFS stage runs.
 """
 
 from __future__ import annotations
@@ -330,15 +327,6 @@ class _IntraNodeBundle:
     parts: tuple
 
 
-def _round_extent(domain: FileDomain, t: int) -> Optional[Extent]:
-    """Round `t`'s window of `domain`, or None past the domain's last round."""
-    lo = domain.extent.offset + t * domain.buffer_bytes
-    if lo >= domain.extent.end:
-        return None
-    hi = min(domain.extent.end, lo + domain.buffer_bytes)
-    return Extent(lo, hi - lo)
-
-
 def _union_extents(
     patterns: Sequence[AccessPattern], senders: Sequence[int], window: Extent
 ) -> list[Extent]:
@@ -500,7 +488,6 @@ def execute_collective(
     op: str,
     op_seq: int,
     payload: Optional[np.ndarray] = None,
-    granularity: str = "round",
     failover_config=None,
     intra_node_aggregation: bool = False,
     borrow=None,
@@ -527,31 +514,24 @@ def execute_collective(
     payload:
         This rank's data buffer (write: source, read: destination), or
         None for metadata-only runs.
-    granularity:
-        ``"round"`` (lockstep, like ROMIO), ``"batched"`` (lockstep with
-        node-aggregated shuffle transfers; falls back to ``"round"``
-        whenever fault machinery is engaged so degraded-mode behaviour
-        stays exact) or ``"domain"`` (streaming, for very large runs) —
-        see module docstring.
     failover_config:
         An :class:`~repro.core.config.MCIOConfig` to enable mid-run
-        aggregator failover (between lockstep rounds, ``"round"``
-        granularity only), or None for fault-oblivious execution.  With
-        no failed hosts the check adds no simulation events, so
-        fault-free timing is unchanged.
+        aggregator failover (between lockstep rounds), or None for
+        fault-oblivious execution.  With no failed hosts the check adds
+        no simulation events, so fault-free timing is unchanged.
     intra_node_aggregation:
         Leader-coalesced shuffle: one rank per (node, domain, window)
         pools its co-located ranks' slices and exchanges a single wire
         message per aggregator node, cutting per-round inter-node
         messages from O(ranks touching the window) to O(nodes touching
-        the window).  Ignored at ``"domain"`` granularity and whenever
-        fault machinery is engaged (same fallback rule as
-        ``"batched"``).
+        the window).  Disengages (the plain lockstep path runs instead)
+        whenever fault machinery is armed — `failover_config` given or
+        hosts already failed — and when the plan borrows or pipelines.
     borrow:
         A :class:`~repro.core.borrow.BorrowSession` when the plan
-        contains lender-backed domains, else None.  Forces ``"round"``
-        granularity (the lease protocol needs round boundaries) and
-        disables intra-node aggregation.  Lease acquisition runs before
+        contains lender-backed domains, else None.  Disables intra-node
+        aggregation and pipelining (a borrowed buffer needs the
+        per-message control points).  Lease acquisition runs before
         round 0; an acquisition failure or a mid-run unsound lease
         raises :class:`~repro.core.borrow.BorrowDegraded` on every rank
         after local teardown — the caller re-plans without borrowing.
@@ -576,21 +556,14 @@ def execute_collective(
     """
     if op not in ("write", "read"):
         raise ValueError(f"op must be 'write' or 'read', got {op!r}")
-    if granularity not in ("round", "batched", "domain"):
-        raise ValueError(f"bad granularity {granularity!r}")
-    faulty = failover_config is not None or comm.cluster.failed_hosts > 0
-    if granularity == "batched" and faulty:
-        # the aggregated fast path has no per-message hooks for mid-run
-        # failover or degraded hosts; keep fault runs on the exact path
-        granularity = "round"
+    # leader bundling has no per-message hooks for mid-run failover,
+    # degraded hosts or a borrowed buffer; those runs stay per-message
     intra_node = (
-        intra_node_aggregation and granularity != "domain" and not faulty
+        intra_node_aggregation
+        and failover_config is None
+        and not comm.cluster.failed_hosts
+        and borrow is None
     )
-    if borrow is not None:
-        # lease checks live at lockstep round boundaries, and a borrowed
-        # buffer needs the per-message control points
-        granularity = "round"
-        intra_node = False
     if pipelined:
         # the overlapped path needs healthy hosts and local buffers to
         # start; it handles failures *arising* mid-run itself (drain,
@@ -602,24 +575,28 @@ def execute_collective(
             pipelined = False
             stats.extra["pipeline_fallback"] = "failed-nodes"
         else:
-            granularity = "round"
             intra_node = False
     env = ctx.env
     stats.mark_start(env.now)
     stats.record_attempt()
     run = _RunContext(ctx, comm, pfs, plan, patterns, stats, op, op_seq, payload)
     run.borrow = borrow
-    if granularity == "round" and not intra_node and not pipelined:
+    if not pipelined:
+        # the pipelined executor arms failover itself once it degrades
         run.failover_config = failover_config
-    if granularity != "domain":
-        run.sched = plan.schedule(patterns, half=pipelined)
+    run.sched = plan.schedule(patterns, half=pipelined)
 
     tracer = env.tracer
     pid = comm.placement[ctx.rank]
     if tracer.enabled:
+        path = (
+            "pipelined" if pipelined
+            else "intra-node" if intra_node
+            else "lockstep"
+        )
         tracer.begin(
             "collective", f"collective.{op}", pid, ctx.rank,
-            strategy=stats.strategy, seq=op_seq, granularity=granularity,
+            strategy=stats.strategy, seq=op_seq, path=path,
         )
     try:
         # allocate this rank's aggregation buffers for the whole operation
@@ -648,14 +625,8 @@ def execute_collective(
                 yield from _run_pipelined(run, failover_config)
             elif intra_node:
                 yield from _run_lockstep(run, _aggregator_window_ina, None)
-            elif granularity == "round":
-                yield from _run_lockstep(run, _aggregator_window, _member_window)
-            elif granularity == "batched":
-                yield from _run_lockstep(
-                    run, _aggregator_window_batched, _member_window_batched
-                )
             else:
-                yield from _run_streaming(run)
+                yield from _run_lockstep(run, _aggregator_window, _member_window)
             if borrow is not None:
                 release_leases(run, borrow)
         finally:
@@ -1075,79 +1046,6 @@ def _pipeline_prefetch(run: _RunContext, did: int, window: Extent, t: int):
 
 
 # ---------------------------------------------------------------------------
-# batched execution (lockstep rounds, node-aggregated wire transfers)
-#
-# Same round structure, barrier discipline, and bytes delivered as plain
-# lockstep, but each round's inter-node shuffle crosses the wire as one
-# batched transfer per (source node, aggregator) pair: write contributors
-# stage their bytes to a per-node leader over the intra-node path and the
-# leader issues one closed-form :meth:`~repro.mpi.comm.SimComm.batched_send`;
-# read aggregators scatter with one batched send per destination node.
-# Co-located members keep the per-rank shared-memory path either way.
-# ---------------------------------------------------------------------------
-def _aggregator_window_batched(
-    run: _RunContext, did: int, window: Extent, t: int, paged: bool
-):
-    if run.op == "write":
-        yield from _collect_and_write(
-            run, did, window, t, paged, io_rounds=None, batched=True
-        )
-    else:
-        yield from _read_and_scatter(
-            run, did, window, t, paged, io_rounds=None, batched=True
-        )
-
-
-def _member_window_batched(run: _RunContext, did: int, window: Extent, t: int):
-    """Member role for one batched round: pooled node-level write shuffle.
-
-    Reads are unchanged on the member side — the aggregator's batched
-    scatter still delivers one logical message per member, so the plain
-    recv/unpack path applies.
-    """
-    if run.op == "read":
-        yield from _member_exchange(run, did, window, t)
-        return
-    ctx, comm = run.ctx, run.comm
-    domain = run.domains[did]
-    my_pattern = run.patterns[ctx.rank]
-    agg = domain.aggregator_rank
-    my_node = comm.node_id_of_rank(ctx.rank)
-    same_node = comm.node_id_of_rank(agg) == my_node
-    q = my_pattern.clip(window.offset, window.end)
-    if q.empty:
-        return
-    tag = (run.op_seq, did, t)
-    data = (
-        _pack_payload(my_pattern, run.payload, q)
-        if run.payload is not None
-        else None
-    )
-    run.stats.record_shuffle(q.nbytes, same_node=same_node)
-    agg_node = comm.node_of_rank(agg)
-    paged_wire = domain.paged or agg_node.memory.overcommitted
-    if same_node:
-        # co-located contributions keep the per-rank shared-memory path
-        yield from comm.send(
-            ctx, agg, q.nbytes, tag=tag, payload=data, paged_dst=paged_wire
-        )
-        return
-    # remote contributors on one node pool their round contribution into
-    # a single wire transfer (intra-node staging hops + one batch)
-    n_local = 0
-    for r in run.sched.senders[did][t]:
-        if comm.node_id_of_rank(r) == my_node:
-            n_local += 1
-    yield from comm.staged_batched_send(
-        ctx,
-        ("stg", run.op_seq, did, t, my_node),
-        n_local,
-        (ctx.rank, agg, q.nbytes, tag, data),
-        paged_dst=paged_wire,
-    )
-
-
-# ---------------------------------------------------------------------------
 # intra-node aggregation (lockstep rounds, leader-coalesced shuffle)
 # ---------------------------------------------------------------------------
 #
@@ -1203,13 +1101,12 @@ def _aggregator_window_ina(
     snap = run.stats.failed_nodes_snapshot((run.op_seq, t), run.comm.cluster)
     if run.op == "write":
         yield from _collect_and_write(
-            run, did, window, t, paged, io_rounds=None, batched=True,
+            run, did, window, t, paged,
             n_msgs=_ina_message_count(run, did, t, snap),
         )
     else:
         yield from _read_and_scatter(
-            run, did, window, t, paged, io_rounds=None, intra_node=True,
-            failed_nodes=snap,
+            run, did, window, t, paged, intra_node=True, failed_nodes=snap
         )
 
 
@@ -1429,35 +1326,9 @@ def _member_round_ina_read(run: _RunContext, t: int, sends_to):
 
 
 # ---------------------------------------------------------------------------
-# streaming execution (one message per pair, aggregators free-run)
-# ---------------------------------------------------------------------------
-def _run_streaming(run: _RunContext):
-    ctx = run.ctx
-    my_pattern = run.patterns[ctx.rank]
-    procs = []
-    for did, domain in enumerate(run.domains):
-        if domain.aggregator_rank == ctx.rank:
-            procs.append(
-                ctx.spawn(
-                    _aggregator_streaming(run, did, run.paged_flags[did]),
-                    name=f"rank{ctx.rank}.agg{did}",
-                )
-            )
-        if my_pattern.bytes_in(domain.extent.offset, domain.extent.end) > 0:
-            procs.append(
-                ctx.spawn(
-                    _member_streaming(run, did),
-                    name=f"rank{ctx.rank}.m{did}",
-                )
-            )
-    if procs:
-        yield ctx.env.all_of(procs)
-
-
-# ---------------------------------------------------------------------------
 # member side
 # ---------------------------------------------------------------------------
-def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int):
+def _member_window(run: _RunContext, did: int, window: Extent, t: int):
     """Send (write) or receive (read) this rank's bytes of `window`."""
     ctx, comm = run.ctx, run.comm
     domain = run.domains[did]
@@ -1469,7 +1340,7 @@ def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int)
     nbytes = my_pattern.bytes_in(lo, hi)
     if not nbytes:
         return
-    tag = (run.op_seq, did, tag_round)
+    tag = (run.op_seq, did, t)
     if run.op == "write":
         data = (
             _pack_payload(my_pattern, run.payload, my_pattern.clip(lo, hi))
@@ -1491,15 +1362,6 @@ def _member_exchange(run: _RunContext, did: int, window: Extent, tag_round: int)
             _unpack_payload(
                 my_pattern, run.payload, my_pattern.clip(lo, hi), msg.payload
             )
-
-
-def _member_window(run: _RunContext, did: int, window: Extent, t: int):
-    yield from _member_exchange(run, did, window, t)
-
-
-def _member_streaming(run: _RunContext, did: int):
-    domain = run.domains[did]
-    yield from _member_exchange(run, did, domain.extent, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -1536,55 +1398,30 @@ def _aggregator_window(
 ):
     """One buffer round of one domain: exchange + I/O for `window`."""
     if run.op == "write":
-        yield from _collect_and_write(run, did, window, t, paged, io_rounds=None)
+        yield from _collect_and_write(run, did, window, t, paged)
     else:
-        yield from _read_and_scatter(run, did, window, t, paged, io_rounds=None)
+        yield from _read_and_scatter(run, did, window, t, paged)
 
 
-def _aggregator_streaming(run: _RunContext, did: int, paged: bool):
-    """Whole-domain exchange; buffer rounds applied to the I/O locally."""
-    domain = run.domains[did]
-    io_rounds = [
-        w
-        for w in (
-            _round_extent(domain, t)
-            for t in range(rounds_for(domain.extent.length, domain.buffer_bytes))
-        )
-        if w is not None
-    ]
-    if run.op == "write":
-        yield from _collect_and_write(run, did, domain.extent, 0, paged, io_rounds)
-    else:
-        yield from _read_and_scatter(run, did, domain.extent, 0, paged, io_rounds)
-
-
-def _collect_and_write(
-    run, did, window, t, paged, io_rounds, batched=False, n_msgs=None
-):
+def _collect_and_write(run, did, window, t, paged, n_msgs=None):
     """Receive all contributions for `window`, assemble, write to the PFS.
 
-    With `batched`, the contributions are drained with one counting
+    `n_msgs` is set when senders coalesce (intra-node aggregation: one
+    :class:`_IntraNodeBundle` per remote node instead of one message per
+    remote rank); those messages are drained with one counting
     :meth:`~repro.mpi.comm.SimComm.recv_many` instead of one posted
     receive per message (same arrival order, same completion time —
     unpacking costs no simulated time — but one resume per round).
-    `n_msgs` overrides the expected message count when senders coalesce
-    (intra-node aggregation: one :class:`_IntraNodeBundle` per remote
-    node instead of one message per remote rank).
     """
-    ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
-    expected = (
-        run.plan.senders[did] if io_rounds is not None
-        else run.sched.senders[did][t]
-    )
-    count = len(expected) if n_msgs is None else n_msgs
-    if batched:
-        msgs = yield from comm.recv_many(
-            ctx, count, tag=(run.op_seq, did, t)
-        )
+    ctx, comm, pfs = run.ctx, run.comm, run.pfs
+    expected = run.sched.senders[did][t]
+    tag = (run.op_seq, did, t)
+    if n_msgs is not None:
+        msgs = yield from comm.recv_many(ctx, n_msgs, tag=tag)
     else:
         msgs = []
-        for _ in range(count):
-            msg = yield from comm.recv(ctx, tag=(run.op_seq, did, t))
+        for _ in range(len(expected)):
+            msg = yield from comm.recv(ctx, tag=tag)
             msgs.append(msg)
     buffer: Optional[np.ndarray] = None
     received = 0
@@ -1616,66 +1453,49 @@ def _collect_and_write(
         # throttled for paged buffers
         yield from run.node.memcopy(received, paged=paged)
 
-    windows = io_rounds if io_rounds is not None else [window]
-    for i, io_window in enumerate(windows):
-        if i > 0:
-            # streaming mode: charge the skipped per-round synchronisation
-            yield env.sleep(run.node.spec.nic_latency)
-        pieces = _union_extents(run.patterns, expected, io_window)
-        if lease is not None and pieces:
-            # pull the assembled round back from the lender for the write
-            yield from _borrow_stage(
-                run, did, lease, sum(p.length for p in pieces), inbound=False
-            )
-        for piece in pieces:
-            data = None
-            if buffer is not None:
-                rel = piece.offset - window.offset
-                data = buffer[rel : rel + piece.length]
-            yield from pfs.write_extent(run.node, piece, data)
-            run.stats.record_bytes(piece.length)
-            run.stats.record_io_extent(piece.offset, piece.length)
+    pieces = _union_extents(run.patterns, expected, window)
+    if lease is not None and pieces:
+        # pull the assembled round back from the lender for the write
+        yield from _borrow_stage(
+            run, did, lease, sum(p.length for p in pieces), inbound=False
+        )
+    for piece in pieces:
+        data = None
+        if buffer is not None:
+            rel = piece.offset - window.offset
+            data = buffer[rel : rel + piece.length]
+        yield from pfs.write_extent(run.node, piece, data)
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
 
 
 def _read_and_scatter(
-    run, did, window, t, paged, io_rounds, batched=False, intra_node=False,
-    failed_nodes=frozenset(),
+    run, did, window, t, paged, intra_node=False, failed_nodes=frozenset()
 ):
     """Read `window`'s requested extents, then send each rank its bytes.
 
-    With `batched`, remote members' messages are grouped by destination
-    node and leave the aggregator as one
-    :meth:`~repro.mpi.comm.SimComm.batched_send` per node.  With
-    `intra_node`, each remote node instead gets a single
+    With `intra_node`, each remote node gets a single
     :class:`_IntraNodeBundle` addressed to its leader (lowest member
     rank), who fans the slices out locally — one wire message per node.
     Nodes in `failed_nodes` are never bundled: their would-be leader is
     crippled, so their members get plain per-rank sends instead.
     """
     ctx, comm, pfs, env = run.ctx, run.comm, run.pfs, run.ctx.env
-    expected = (
-        run.plan.senders[did] if io_rounds is not None
-        else run.sched.senders[did][t]
-    )
+    expected = run.sched.senders[did][t]
     if not expected:
         return
     buffer: Optional[np.ndarray] = (
         np.zeros(window.length, dtype=np.uint8) if pfs.datastore is not None else None
     )
-    windows = io_rounds if io_rounds is not None else [window]
     total_read = 0
-    for i, io_window in enumerate(windows):
-        if i > 0:
-            yield env.sleep(run.node.spec.nic_latency)
-        pieces = _union_extents(run.patterns, expected, io_window)
-        for piece in pieces:
-            data = yield from pfs.read_extent(run.node, piece)
-            total_read += piece.length
-            run.stats.record_bytes(piece.length)
-            run.stats.record_io_extent(piece.offset, piece.length)
-            if buffer is not None and data is not None:
-                rel = piece.offset - window.offset
-                buffer[rel : rel + piece.length] = data
+    for piece in _union_extents(run.patterns, expected, window):
+        data = yield from pfs.read_extent(run.node, piece)
+        total_read += piece.length
+        run.stats.record_bytes(piece.length)
+        run.stats.record_io_extent(piece.offset, piece.length)
+        if buffer is not None and data is not None:
+            rel = piece.offset - window.offset
+            buffer[rel : rel + piece.length] = data
     if total_read == 0:
         return
     lease = run.borrow.lease_for(did) if run.borrow is not None else None
@@ -1691,17 +1511,12 @@ def _read_and_scatter(
     sends = []
     by_node: dict[int, list] = {}
     my_node = comm.node_id_of_rank(ctx.rank)
+    tag = (run.op_seq, did, t)
     for r in expected:
         nbytes, data = _slice_for(run, r, window, buffer)
-        tag = (run.op_seq, did, t)
         dest_node = comm.node_id_of_rank(r)
         if intra_node and dest_node != my_node and dest_node not in failed_nodes:
             by_node.setdefault(dest_node, []).append((r, nbytes, data))
-            continue
-        if batched and dest_node != my_node:
-            by_node.setdefault(dest_node, []).append(
-                (ctx.rank, r, nbytes, tag, data)
-            )
             continue
         sends.append(
             comm.isend(
@@ -1709,22 +1524,13 @@ def _read_and_scatter(
             )
         )
     for dest_node in sorted(by_node):
-        if intra_node:
-            # one bundle to the node's leader; expected is rank-ordered,
-            # so parts[0] is the lowest member rank on that node
-            parts = by_node[dest_node]
-            sends.append(
-                comm.isend(
-                    ctx, parts[0][0], sum(p[1] for p in parts),
-                    tag=(run.op_seq, did, t),
-                    payload=_IntraNodeBundle(tuple(parts)), paged_dst=paged,
-                )
-            )
-            continue
+        # one bundle to the node's leader; expected is rank-ordered,
+        # so parts[0] is the lowest member rank on that node
+        parts = by_node[dest_node]
         sends.append(
-            ctx.spawn(
-                comm.batched_send(ctx, by_node[dest_node], paged_dst=paged),
-                name=f"rank{ctx.rank}.bscat{did}.n{dest_node}",
+            comm.isend(
+                ctx, parts[0][0], sum(p[1] for p in parts), tag=tag,
+                payload=_IntraNodeBundle(tuple(parts)), paged_dst=paged,
             )
         )
     if sends:

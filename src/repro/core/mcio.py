@@ -284,7 +284,7 @@ class MemoryConsciousCollectiveIO:
             try:
                 result = yield from execute_collective(
                     ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
-                    payload=payload, granularity=self.config.shuffle_granularity,
+                    payload=payload,
                     failover_config=self.config if self.config.failover else None,
                     intra_node_aggregation=self.config.intra_node_aggregation,
                     borrow=borrow,
@@ -451,7 +451,7 @@ class MemoryConsciousCollectiveIO:
             yield from execute_collective(
                 ctx, self.comm, self.pfs, plan, patterns, stats, op,
                 ("bfb", seq),
-                payload=payload, granularity="round",
+                payload=payload,
                 failover_config=remerge_cfg if self.config.failover else None,
                 intra_node_aggregation=False,
             )

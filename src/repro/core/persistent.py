@@ -297,7 +297,6 @@ class PersistentCollective:
                 ctx, comm, engine.pfs, plan, patterns, stats, self.op,
                 ("pc", self.pc_id, ep.index),
                 payload=payload,
-                granularity=engine.config.shuffle_granularity,
                 failover_config=engine.config if engine.config.failover else None,
                 intra_node_aggregation=engine.config.intra_node_aggregation,
                 pipelined=self.overlap,

@@ -122,7 +122,7 @@ class TwoPhaseCollectiveIO:
         plan, stats = self._prepare(seq, patterns, op)
         result = yield from execute_collective(
             ctx, self.comm, self.pfs, plan, patterns, stats, op, seq,
-            payload=payload, granularity=self.config.shuffle_granularity,
+            payload=payload,
             intra_node_aggregation=self.config.intra_node_aggregation,
         )
         self._finish(seq, ctx)

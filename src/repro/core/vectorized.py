@@ -47,11 +47,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import _round_extent, _union_extents
+from repro.core.engine import _union_extents
 from repro.core.filedomain import rounds_for
 from repro.core.metrics import CollectiveStats
 from repro.core.pattern_array import PatternArray
-from repro.core.request import AccessPattern
+from repro.core.request import AccessPattern, Extent
 
 __all__ = ["run_vectorized_collective", "vectorization_refusal"]
 
@@ -265,7 +265,7 @@ def run_vectorized_collective(
         if tracer.enabled:
             tracer.begin(
                 "collective", f"collective.{op}", 0, 0,
-                strategy=stats.strategy, seq=seq, granularity="vectorized",
+                strategy=stats.strategy, seq=seq, path="vectorized",
             )
         allocs = []
         paged_flags: dict[int, bool] = {}
@@ -303,9 +303,11 @@ def run_vectorized_collective(
             for t in range(plan.ntimes):
                 procs = []
                 for did, domain in enumerate(plan.domains):
-                    window = _round_extent(domain, t)
-                    if window is None:
+                    lo = domain.extent.offset + t * domain.buffer_bytes
+                    if lo >= domain.extent.end:
                         continue
+                    hi = min(domain.extent.end, lo + domain.buffer_bytes)
+                    window = Extent(lo, hi - lo)
                     agg_node = nodes[comm.placement[domain.aggregator_rank]]
                     procs.append(
                         env.process(

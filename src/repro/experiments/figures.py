@@ -27,7 +27,6 @@ class FigureConfig:
     buffer_sizes: tuple[int, ...]
     sigma_bytes: float
     mcio: MCIOConfig
-    granularity: str = "round"
     seed: int = 0
     paper_reference: str = ""
 
@@ -124,7 +123,6 @@ def run_figure(config: FigureConfig, tracer=None, jobs=1) -> FigureResult:
         sigma_bytes=config.sigma_bytes,
         seed=config.seed,
         mcio_config=config.mcio,
-        granularity=config.granularity,
         tracer=tracer,
         jobs=jobs,
     )

@@ -154,19 +154,21 @@ class SweepPoint:
         return self.stats.bandwidth_mib
 
 
-def _memory_sweep_cell(cell) -> list[SweepPoint]:
+def _memory_sweep_cell(
+    cell, tracer: Optional[Tracer] = None
+) -> list[SweepPoint]:
     """One (buffer, strategy) cell of :func:`run_memory_sweep`.
 
     Module-level so the cell-sharding runner can ship it to worker
-    processes; `cell` is a plain picklable tuple.  The body is exactly
-    the serial loop's — same platform seed, same availability draw —
-    so a sweep's points are identical at any ``jobs`` count.
+    processes; `cell` is a plain picklable tuple.  The serial path runs
+    the same body (with its optional `tracer`), so a sweep's points are
+    identical at any ``jobs`` count.
     """
     (
         spec, patterns, buffer, strategy, sigma_bytes, seed,
-        mcio_template, tp_template, ops, granularity,
+        mcio_template, tp_template, ops,
     ) = cell
-    platform = Platform.build(spec, len(patterns), seed=seed)
+    platform = Platform.build(spec, len(patterns), seed=seed, tracer=tracer)
     platform.cluster.sample_memory_availability(
         mean_bytes=float(buffer), sigma_bytes=float(sigma_bytes)
     )
@@ -174,21 +176,13 @@ def _memory_sweep_cell(cell) -> list[SweepPoint]:
         engine = TwoPhaseCollectiveIO(
             platform.comm,
             platform.pfs,
-            replace(
-                tp_template,
-                cb_buffer_size=int(buffer),
-                shuffle_granularity=granularity,
-            ),
+            replace(tp_template, cb_buffer_size=int(buffer)),
         )
     elif strategy == "mcio":
         engine = MemoryConsciousCollectiveIO(
             platform.comm,
             platform.pfs,
-            replace(
-                mcio_template,
-                cb_buffer_size=int(buffer),
-                shuffle_granularity=granularity,
-            ),
+            replace(mcio_template, cb_buffer_size=int(buffer)),
         )
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -211,7 +205,6 @@ def run_memory_sweep(
     twophase_config: Optional[TwoPhaseConfig] = None,
     ops: Sequence[str] = ("write", "read"),
     strategies: Sequence[str] = ("two-phase", "mcio"),
-    granularity: str = "round",
     tracer: Optional[Tracer] = None,
     jobs: Optional[int] = 1,
 ) -> list[SweepPoint]:
@@ -233,8 +226,7 @@ def run_memory_sweep(
     sigma_bytes:
         Std-dev of the availability distribution (paper: 50 MB).
     mcio_config / twophase_config:
-        Templates; ``cb_buffer_size`` and ``shuffle_granularity`` are
-        overridden per point.
+        Templates; ``cb_buffer_size`` is overridden per point.
     ops:
         Which operations to measure (order preserved).
     strategies:
@@ -255,7 +247,6 @@ def run_memory_sweep(
     list of SweepPoint
         One per (buffer, strategy, op); order independent of `jobs`.
     """
-    n_ranks = len(patterns)
     mcio_template = mcio_config if mcio_config is not None else MCIOConfig()
     tp_template = (
         twophase_config if twophase_config is not None else TwoPhaseConfig()
@@ -263,7 +254,7 @@ def run_memory_sweep(
     cells = [
         (
             spec, tuple(patterns), buffer, strategy, sigma_bytes, seed,
-            mcio_template, tp_template, tuple(ops), granularity,
+            mcio_template, tp_template, tuple(ops),
         )
         for buffer in buffer_sizes
         for strategy in strategies
@@ -274,42 +265,6 @@ def run_memory_sweep(
             for cell_points in runner.map(_memory_sweep_cell, cells):
                 points.extend(cell_points)
         return points
-    for buffer in buffer_sizes:
-        for strategy in strategies:
-            platform = Platform.build(spec, n_ranks, seed=seed, tracer=tracer)
-            platform.cluster.sample_memory_availability(
-                mean_bytes=float(buffer), sigma_bytes=float(sigma_bytes)
-            )
-            if strategy == "two-phase":
-                engine = TwoPhaseCollectiveIO(
-                    platform.comm,
-                    platform.pfs,
-                    replace(
-                        tp_template,
-                        cb_buffer_size=int(buffer),
-                        shuffle_granularity=granularity,
-                    ),
-                )
-            elif strategy == "mcio":
-                engine = MemoryConsciousCollectiveIO(
-                    platform.comm,
-                    platform.pfs,
-                    replace(
-                        mcio_template,
-                        cb_buffer_size=int(buffer),
-                        shuffle_granularity=granularity,
-                    ),
-                )
-            else:
-                raise ValueError(f"unknown strategy {strategy!r}")
-            all_stats = run_collective(platform, engine, patterns, ops=ops)
-            for op, stats in zip(ops, all_stats):
-                points.append(
-                    SweepPoint(
-                        buffer_bytes=int(buffer),
-                        strategy=strategy,
-                        op=op,
-                        stats=stats,
-                    )
-                )
+    for cell in cells:
+        points.extend(_memory_sweep_cell(cell, tracer))
     return points

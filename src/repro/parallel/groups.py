@@ -103,7 +103,6 @@ class _ShardSpec:
     strategy: str
     op: str
     op_seq: int
-    granularity: str
     intra_node_aggregation: bool
     patterns: tuple[AccessPattern, ...]
     domains: tuple[FileDomain, ...]
@@ -179,7 +178,6 @@ def _run_shard(spec: _ShardSpec) -> dict:
             spec.op,
             spec.op_seq,
             payload=None,
-            granularity=spec.granularity,
             failover_config=None,
             intra_node_aggregation=spec.intra_node_aggregation,
         )
@@ -308,7 +306,6 @@ def run_sharded_collective(
             strategy=engine.name,
             op=op,
             op_seq=seq,
-            granularity=engine.config.shuffle_granularity,
             intra_node_aggregation=engine.config.intra_node_aggregation,
             patterns=pattern_list,
             domains=tuple(plan.domains[did] for did in part),

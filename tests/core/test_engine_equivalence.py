@@ -3,8 +3,7 @@
 Property-based: for arbitrary non-overlapping rank workloads, a
 collective write followed by a collective read must be byte-exact under
 *any* strategy (two-phase, MCIO, independent, sieving), at any buffer
-size, at either shuffle granularity — and all strategies must leave the
-file in the identical state.
+size — and all strategies must leave the file in the identical state.
 """
 
 import numpy as np
@@ -45,17 +44,14 @@ def rank_workloads(draw):
     return patterns
 
 
-def engines(stack, buffer_size, granularity):
+def engines(stack, buffer_size):
     yield TwoPhaseCollectiveIO(
-        stack.comm, stack.pfs,
-        TwoPhaseConfig(cb_buffer_size=buffer_size,
-                       shuffle_granularity=granularity),
+        stack.comm, stack.pfs, TwoPhaseConfig(cb_buffer_size=buffer_size)
     )
     yield MemoryConsciousCollectiveIO(
         stack.comm, stack.pfs,
         MCIOConfig(msg_group=512, msg_ind=128, mem_min=0, nah=2,
-                   cb_buffer_size=buffer_size, min_buffer=1,
-                   shuffle_granularity=granularity),
+                   cb_buffer_size=buffer_size, min_buffer=1),
     )
     yield IndependentIO(stack.comm, stack.pfs)
     yield DataSievingIO(stack.comm, stack.pfs)
@@ -64,21 +60,20 @@ def engines(stack, buffer_size, granularity):
 @given(
     patterns=rank_workloads(),
     buffer_size=st.sampled_from([32, 128, 1024]),
-    granularity=st.sampled_from(["round", "domain"]),
 )
 @settings(
     max_examples=40,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-def test_all_strategies_agree_byte_for_byte(patterns, buffer_size, granularity):
+def test_all_strategies_agree_byte_for_byte(patterns, buffer_size):
     n_ranks = len(patterns)
     payloads = {r: rank_payload(r, patterns[r].nbytes) for r in range(n_ranks)}
     file_images = {}
     readbacks = {}
 
     stack0 = make_stack(n_ranks=n_ranks, n_nodes=2, cores=4)
-    for engine in engines(stack0, buffer_size, granularity):
+    for engine in engines(stack0, buffer_size):
         stack = make_stack(n_ranks=n_ranks, n_nodes=2, cores=4)
         engine.comm = stack.comm
         engine.pfs = stack.pfs
@@ -105,26 +100,6 @@ def test_all_strategies_agree_byte_for_byte(patterns, buffer_size, granularity):
     assert len(images) <= 1, (
         f"strategies disagree on file contents: {list(file_images)}"
     )
-
-
-def test_lockstep_and_streaming_identical_data():
-    """The two shuffle granularities are timing models, not data paths."""
-    patterns = [AccessPattern.contiguous(r * 500, 500) for r in range(6)]
-    images = {}
-    for granularity in ("round", "domain"):
-        stack = make_stack(n_ranks=6, n_nodes=3)
-        engine = TwoPhaseCollectiveIO(
-            stack.comm, stack.pfs,
-            TwoPhaseConfig(cb_buffer_size=128, shuffle_granularity=granularity),
-        )
-
-        def main(ctx):
-            yield from engine.write(ctx, patterns[ctx.rank],
-                                    rank_payload(ctx.rank, 500))
-
-        stack.run_spmd(main)
-        images[granularity] = bytes(stack.pfs.datastore.read(0, 3000))
-    assert images["round"] == images["domain"]
 
 
 def test_strategies_same_bytes_written_metric():

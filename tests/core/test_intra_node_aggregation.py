@@ -12,7 +12,7 @@ to the aggregator.  These tests pin
   by the ranks-per-node factor;
 * leader staging memory charged against the node and fully released;
 * graceful fallback to the per-rank path whenever fault machinery is
-  engaged ("domain" granularity, failover enabled, failed nodes);
+  armed (failover enabled, failed nodes);
 * composition with the plan cache.
 """
 
@@ -168,16 +168,6 @@ class TestMemoryAndFallback:
         assert all(
             node.memory.peak_committed > 0 for node in stack.cluster.nodes
         )
-
-    def test_domain_granularity_ignores_flag(self):
-        clocks = {}
-        for intra_node in (False, True):
-            stack, engine = _build(
-                "mcio", intra_node, shuffle_granularity="domain"
-            )
-            _write_once(stack, engine)
-            clocks[intra_node] = float(stack.env.now).hex()
-        assert clocks[True] == clocks[False]
 
     def test_failover_enabled_falls_back_to_per_rank(self):
         """With fault machinery armed the per-rank round path runs."""

@@ -6,7 +6,7 @@ unions with array code.  These properties pin both against the scans
 they replaced:
 
 * every window, window sender list and per-rank spawn order equals a
-  scan over all domains with ``_round_extent`` + ``bytes_in`` — also
+  scan over all domains' buffer windows with ``bytes_in`` — also
   across a mid-run failover that moves an aggregator;
 * every union equals ``coalesce_extents`` over the expanded blocks,
   including the ``_UNION_BLOCK_LIMIT`` covering-extent fallback.
@@ -22,7 +22,6 @@ import repro.core.engine as engine_mod
 from repro.core import MCIOConfig, MemoryConsciousCollectiveIO
 from repro.core.engine import (
     ExecutionPlan,
-    _round_extent,
     _round_slots,
     _RunContext,
     _union_extents,
@@ -157,13 +156,21 @@ def test_union_fuses_only_trains_that_interleave_exactly():
 # ---------------------------------------------------------------------------
 # compiled schedule
 # ---------------------------------------------------------------------------
-def half_extent(domain, t):
-    """The pipelined executor's half-buffer window, or None."""
-    w = (domain.buffer_bytes + 1) // 2
+def _window(domain, t, w):
     lo = domain.extent.offset + t * w
     if lo >= domain.extent.end:
         return None
     return Extent(lo, min(domain.extent.end, lo + w) - lo)
+
+
+def full_extent(domain, t):
+    """The lockstep executor's round-`t` window, or None."""
+    return _window(domain, t, domain.buffer_bytes)
+
+
+def half_extent(domain, t):
+    """The pipelined executor's half-buffer window, or None."""
+    return _window(domain, t, (domain.buffer_bytes + 1) // 2)
 
 
 def brute_slots(run, t, window_of):
@@ -210,7 +217,7 @@ def test_schedule_matches_domain_scan(case):
     )
     # a plan rebuilt from its parts (as sharded workers do) compiles alike
     rebuilt = ExecutionPlan(plan.domains, plan.senders)
-    for half, window_of in ((False, _round_extent), (True, half_extent)):
+    for half, window_of in ((False, full_extent), (True, half_extent)):
         sched = plan.schedule(patterns, half=half)
         assert plan.schedule(patterns, half=half) is sched
         other = rebuilt.schedule(patterns, half=half)
@@ -298,7 +305,7 @@ def test_slots_follow_midrun_failover():
         yield from engine.write(ctx, pattern, rank_payload(ctx.rank, nbytes))
 
     with mock.patch.object(
-        engine_mod, "_round_slots", checked_slots(_round_extent, seen)
+        engine_mod, "_round_slots", checked_slots(full_extent, seen)
     ):
         stack.run_spmd(main)
     injector.stop()

@@ -52,7 +52,6 @@ class ClusterCase:
     memory_availability: Optional[tuple[int, ...]]
     workload: str  # "serial" | "interleaved" | "mixed"
     cb_buffer_size: int
-    granularity: str
     stripe_size: int = 256
 
 
@@ -66,7 +65,6 @@ CLUSTER_CASES = (
         memory_availability=None,
         workload="serial",
         cb_buffer_size=1024,
-        granularity="round",
     ),
     # skewed memory, interleaved IOR-style stride: exercises group
     # division's interleaved path, remerging, and adaptive buffers
@@ -78,10 +76,9 @@ CLUSTER_CASES = (
         memory_availability=(64 * 1024, 2048, 64 * 1024, 1024),
         workload="interleaved",
         cb_buffer_size=2048,
-        granularity="round",
     ),
-    # tiny memory everywhere + streaming granularity: paged placements
-    # and the domain-batched timing model
+    # tiny memory everywhere: paged placements and adaptive buffers
+    # under a mixed strided/contiguous workload
     ClusterCase(
         name="tiny-mem",
         n_ranks=8,
@@ -90,7 +87,6 @@ CLUSTER_CASES = (
         memory_availability=(1536, 1024),
         workload="mixed",
         cb_buffer_size=512,
-        granularity="domain",
     ),
 )
 
@@ -147,10 +143,7 @@ def make_engine(
         return TwoPhaseCollectiveIO(
             stack.comm,
             stack.pfs,
-            TwoPhaseConfig(
-                cb_buffer_size=case.cb_buffer_size,
-                shuffle_granularity=case.granularity,
-            ),
+            TwoPhaseConfig(cb_buffer_size=case.cb_buffer_size),
         )
     if strategy == "mcio":
         kwargs = dict(
@@ -160,7 +153,6 @@ def make_engine(
             nah=2,
             cb_buffer_size=case.cb_buffer_size,
             min_buffer=1,
-            shuffle_granularity=case.granularity,
         )
         if mcio_overrides:
             kwargs.update(mcio_overrides)

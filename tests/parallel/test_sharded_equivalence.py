@@ -148,7 +148,6 @@ class TestGoldenMatrix:
         config = MCIOConfig(
             msg_group=16 * KIB, msg_ind=2 * KIB, mem_min=0, nah=2,
             cb_buffer_size=case.cb_buffer_size, min_buffer=1,
-            shuffle_granularity=case.granularity,
         )
         ref, cand, ref_aud, cand_aud = run_differential(
             patterns, config, op=op,

@@ -2,8 +2,7 @@
 
 The process-pool sibling of ``test_vectorized_properties``: hypothesis
 draws whole configurations — workload shape, rank and node counts,
-memory regime, placement policy, shuffle granularity, intra-node
-aggregation, op — and every drawn cell must satisfy the sharded
+memory regime, placement policy, intra-node aggregation, op — and every drawn cell must satisfy the sharded
 equivalence contract: identical I/O extents and offsets, identical
 shuffle byte split, and the same refusal-or-shard decision at every
 worker count.  Refused cells serve per-rank and must *still* equal the
@@ -100,9 +99,6 @@ def configs(draw):
         min_buffer=1,
         adaptive_buffer=draw(st.booleans()),
         placement_policy=draw(st.sampled_from(["remerge", "hybrid"])),
-        shuffle_granularity=draw(
-            st.sampled_from(["round", "batched", "domain"])
-        ),
         intra_node_aggregation=draw(st.booleans()),
         failover=draw(st.booleans()),
     )
@@ -128,9 +124,6 @@ def shardable_workloads(draw):
         cb_buffer_size=draw(st.sampled_from([1024, 2 * KIB])),
         min_buffer=1,
         adaptive_buffer=draw(st.booleans()),
-        shuffle_granularity=draw(
-            st.sampled_from(["round", "batched", "domain"])
-        ),
         intra_node_aggregation=draw(st.booleans()),
     )
     return n_ranks, n_nodes, cores, patterns, config
