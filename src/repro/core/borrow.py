@@ -213,7 +213,6 @@ def release_leases(run, session: BorrowSession) -> None:
         if lease.borrower_rank != ctx.rank or not lease.active:
             continue
         session.ledger.release(lease, now)
-        run.stats.record_lease("released")
         if tracer.enabled:
             tracer.instant(
                 "borrow", "borrow.release",
@@ -243,7 +242,6 @@ def _abort(run, session: BorrowSession, t: int, reasons) -> None:
             )
         else:
             ledger.release(lease, now)
-            run.stats.record_lease("released")
     if ctx.rank == run.comm.world.ranks[0]:
         run.stats.record_borrow_fallback()
         run.stats.extra["borrow_fallback_round"] = t

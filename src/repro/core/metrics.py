@@ -11,16 +11,19 @@ quantities the paper argues about:
 * shuffle traffic split intra-node / inter-node / inter-group — MCIO's
   invariant is zero inter-group bytes;
 * round and request counts.
+
+Each :class:`CollectiveStats` field is declared once, with its shard-merge
+rule, its JSON codec and the value a fresh collector starts from;
+serialization, :meth:`CollectiveStats.merge` and
+:meth:`StatsCollector.finalize` all walk that declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import MISSING, Field, dataclass, field, fields
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["StatsCollector", "CollectiveStats"]
 
@@ -29,74 +32,206 @@ __all__ = ["StatsCollector", "CollectiveStats"]
 _SCALARS = (int, float, str, bool)
 
 
+# ----------------------------------------------------------------------
+# merge rules: fold one field's per-shard values into the collective's
+# ----------------------------------------------------------------------
+def _agree(name: str, values: list):
+    """Identity fields: every shard must carry the same value."""
+    first = values[0]
+    for other in values[1:]:
+        if other != first:
+            raise ValueError(f"shards disagree on {name}: {first!r} != {other!r}")
+    return first
+
+
+def _sum(name: str, values: list):
+    """Counters: shards run disjoint domain subsets, so counts add."""
+    return sum(values)
+
+
+def _max(name: str, values: list):
+    """Peaks and monotone views keep the largest value seen.
+
+    Per-rank maps merge per rank: an aggregator serving domains in two
+    shards keeps its peak, not the sum.
+    """
+    if not isinstance(values[0], dict):
+        return max(values)
+    merged: dict = {}
+    for per_rank in values:
+        for rank, v in per_rank.items():
+            merged[rank] = max(merged.get(rank, 0), v)
+    return merged
+
+
+def _union(name: str, values: list):
+    """Free-form maps: later shards' keys win."""
+    merged: dict = {}
+    for v in values:
+        merged.update(v)
+    return merged
+
+
+def _uniform(name: str, values: list):
+    """The shared value, or ``"mixed"`` when shards differ."""
+    distinct = set(values)
+    return distinct.pop() if len(distinct) == 1 else "mixed"
+
+
+def _aggregator_count(values: dict) -> int:
+    return len(values["agg_buffer_bytes"])
+
+
+def _aggregator_ranks(values: dict) -> tuple:
+    return tuple(sorted(values["agg_buffer_bytes"]))
+
+
+# ----------------------------------------------------------------------
+# JSON codecs: (encode, decode) pairs; JSON object keys are strings
+# ----------------------------------------------------------------------
+def _same(v):
+    return v
+
+
+def _rank_keys_to_json(d: dict) -> dict:
+    return {str(k): v for k, v in d.items()}
+
+
+def _rank_keys_from_json(d: dict) -> dict:
+    return {int(k): v for k, v in d.items()}
+
+
+def _scalars_only(d: dict) -> dict:
+    return {k: v for k, v in d.items() if isinstance(v, _SCALARS)}
+
+
+_RANK_KEYS = (_rank_keys_to_json, _rank_keys_from_json)
+_RANK_TUPLE = (list, tuple)
+_SCALAR_MAP = (_scalars_only, dict)
+
+#: ``zero`` marker: start from the dataclass default.
+_FROM_DEFAULT = object()
+
+
+def _stat(
+    merge: Optional[Callable] = None,
+    *,
+    derive: Optional[Callable[[dict], object]] = None,
+    zero=_FROM_DEFAULT,
+    json: tuple = (_same, _same),
+    load_default: Optional[Callable[[], object]] = None,
+    **kwargs,
+) -> Field:
+    """Declare one :class:`CollectiveStats` field.
+
+    * `merge` folds the per-shard values (``(name, values) -> value``);
+    * `derive` instead computes the field from the other fields, both
+      when merging and when a collector finalizes;
+    * `zero` is a factory for the value a fresh :class:`StatsCollector`
+      starts accumulating from — by default the dataclass default, and
+      ``None`` for fields the collector does not accumulate;
+    * `json` is the ``(encode, decode)`` pair for :meth:`to_json` /
+      :meth:`from_json`;
+    * `load_default` fills a required field missing from an older
+      document.
+
+    `kwargs` go to :func:`dataclasses.field` (``default`` etc.).
+    """
+    if zero is _FROM_DEFAULT:
+        if "default_factory" in kwargs:
+            zero = kwargs["default_factory"]
+        elif "default" in kwargs:
+            zero = lambda default=kwargs["default"]: default
+        else:
+            zero = None
+    return field(
+        metadata={
+            "merge": merge,
+            "derive": derive,
+            "zero": zero,
+            "json": json,
+            "load_default": load_default,
+        },
+        **kwargs,
+    )
+
+
 @dataclass
 class CollectiveStats:
     """Summary of one collective read or write operation."""
 
-    strategy: str
-    op: str
-    total_bytes: int
-    elapsed: float
-    n_ranks: int
-    n_aggregators: int
-    aggregator_ranks: tuple[int, ...]
+    strategy: str = _stat(_agree)
+    op: str = _stat(_agree)
+    total_bytes: int = _stat(_sum, zero=int)
+    #: sim-time: shards run concurrently on one simulated machine, so the
+    #: collective takes as long as its slowest shard
+    elapsed: float = _stat(_max)
+    n_ranks: int = _stat(_agree)
+    n_aggregators: int = _stat(derive=_aggregator_count)
+    aggregator_ranks: tuple[int, ...] = _stat(
+        derive=_aggregator_ranks, json=_RANK_TUPLE
+    )
     #: peak aggregation-buffer bytes per aggregator rank
-    agg_buffer_bytes: dict[int, int]
+    agg_buffer_bytes: dict[int, int] = _stat(_max, zero=dict, json=_RANK_KEYS)
     #: bytes by which each aggregator's host memory was overcommitted at
     #: buffer-allocation time (0 for healthy placements)
-    agg_overcommit_bytes: dict[int, int]
-    paged_aggregators: int
-    rounds_total: int
-    shuffle_intra_node_bytes: int
-    shuffle_inter_node_bytes: int
-    shuffle_inter_group_bytes: int
-    n_groups: int = 1
-    extra: dict = field(default_factory=dict)
+    agg_overcommit_bytes: dict[int, int] = _stat(
+        _max, zero=dict, json=_RANK_KEYS, load_default=dict
+    )
+    #: the collector keeps the set of paged ranks; the summary their count
+    paged_aggregators: int = _stat(_sum, zero=set)
+    rounds_total: int = _stat(_sum, zero=int)
+    shuffle_intra_node_bytes: int = _stat(_sum, zero=int)
+    shuffle_inter_node_bytes: int = _stat(_sum, zero=int)
+    shuffle_inter_group_bytes: int = _stat(_sum, zero=int)
+    n_groups: int = _stat(_sum, default=1)
+    extra: dict = _stat(_union, default_factory=dict, json=_SCALAR_MAP)
     #: Which tier actually served the collective when the primary planner
     #: could not: None = the strategy's own plan, else "two-phase" or
     #: "independent" (the graceful-degradation chain).
-    degraded_tier: Optional[str] = None
-    #: PFS client retries / abandoned requests during this operation.
-    io_retries: int = 0
-    io_abandons: int = 0
+    degraded_tier: Optional[str] = _stat(_agree, default=None)
+    #: PFS client retries / abandoned requests during this operation
+    #: (read off the file system, not accumulated by the collector).
+    io_retries: int = _stat(_sum, default=0, zero=None)
+    io_abandons: int = _stat(_sum, default=0, zero=None)
     #: Aggregator failovers performed mid-operation (failed host replaced).
-    failovers: int = 0
+    failovers: int = _stat(_sum, default=0)
     #: True when this collective reused a cached plan instead of running
     #: the planning pipeline (always False with the cache disabled).
-    plan_cached: bool = False
+    plan_cached: bool = _stat(_max, default=False)
     #: Cumulative plan-cache counters of the owning engine as of this
     #: operation (monotone across an engine's history).
-    plan_cache_hits: int = 0
-    plan_cache_misses: int = 0
-    plan_cache_invalidations: int = 0
+    plan_cache_hits: int = _stat(_max, default=0)
+    plan_cache_misses: int = _stat(_max, default=0)
+    plan_cache_invalidations: int = _stat(_max, default=0)
     #: Partition-tree data-size evaluations performed while planning this
     #: collective (0 on a cache hit — the work a reused plan avoided).
-    planning_tree_queries: int = 0
+    planning_tree_queries: int = _stat(_max, default=0)
     #: Remote-memory lease lifecycle counts for this collective
     #: (borrowed aggregation buffers; all zero outside borrow placements).
-    leases_granted: int = 0
-    leases_renewed: int = 0
-    leases_revoked: int = 0
-    leases_expired: int = 0
+    leases_granted: int = _stat(_sum, default=0)
+    leases_renewed: int = _stat(_sum, default=0)
+    leases_revoked: int = _stat(_sum, default=0)
+    leases_expired: int = _stat(_sum, default=0)
     #: Bytes staged to / fetched from leased remote buffers over the fabric.
-    borrow_bytes: int = 0
+    borrow_bytes: int = _stat(_sum, default=0)
     #: Mid-collective borrow aborts that degraded the run back to remerge.
-    borrow_fallbacks: int = 0
+    borrow_fallbacks: int = _stat(_sum, default=0)
     #: Intra-node leader bundles degraded to per-rank sends because the
     #: leader's node failed between election and ship.
-    ina_fallbacks: int = 0
+    ina_fallbacks: int = _stat(_sum, default=0)
     #: How this collective was simulated: ``"per-rank"`` coroutines (the
     #: reference) or the node-level ``"vectorized"`` path (DESIGN.md §11).
-    execution_mode: str = "per-rank"
+    execution_mode: str = _stat(_uniform, default="per-rank")
     #: Times vectorization was requested but refused for this collective
     #: (faults/borrow/failover demanded per-rank behaviour); the refusal
     #: reason lands in ``extra["vectorized_refusal"]``.
-    vectorized_refusals: int = 0
+    vectorized_refusals: int = _stat(_sum, default=0)
     #: Times group-sharded execution was requested but refused for this
     #: collective (single group, shared aggregator hosts, faults, leases,
     #: a live data plane — see DESIGN.md §12); the refusal reason lands
     #: in ``extra["sharding_refusal"]``.
-    sharding_refusals: int = 0
+    sharding_refusals: int = _stat(_sum, default=0)
 
     @property
     def bandwidth(self) -> float:
@@ -190,52 +325,13 @@ class CollectiveStats:
     def to_json(self) -> dict:
         """Serialize to plain JSON types (the one canonical encoding).
 
-        Dict keys become strings (JSON objects), tuples become lists and
-        ``extra`` is filtered to scalar values — runtime objects stashed
-        there (trees, plans) are not representable and are dropped.
+        Keys follow field order.  Dict keys become strings (JSON
+        objects), tuples become lists and ``extra`` is filtered to scalar
+        values — runtime objects stashed there (trees, plans) are not
+        representable and are dropped.
         """
         return {
-            "strategy": self.strategy,
-            "op": self.op,
-            "total_bytes": self.total_bytes,
-            "elapsed": self.elapsed,
-            "n_ranks": self.n_ranks,
-            "n_aggregators": self.n_aggregators,
-            "aggregator_ranks": list(self.aggregator_ranks),
-            "agg_buffer_bytes": {
-                str(k): v for k, v in self.agg_buffer_bytes.items()
-            },
-            "agg_overcommit_bytes": {
-                str(k): v for k, v in self.agg_overcommit_bytes.items()
-            },
-            "paged_aggregators": self.paged_aggregators,
-            "rounds_total": self.rounds_total,
-            "shuffle_intra_node_bytes": self.shuffle_intra_node_bytes,
-            "shuffle_inter_node_bytes": self.shuffle_inter_node_bytes,
-            "shuffle_inter_group_bytes": self.shuffle_inter_group_bytes,
-            "n_groups": self.n_groups,
-            "extra": {
-                k: v for k, v in self.extra.items() if isinstance(v, _SCALARS)
-            },
-            "degraded_tier": self.degraded_tier,
-            "io_retries": self.io_retries,
-            "io_abandons": self.io_abandons,
-            "failovers": self.failovers,
-            "plan_cached": self.plan_cached,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "planning_tree_queries": self.planning_tree_queries,
-            "leases_granted": self.leases_granted,
-            "leases_renewed": self.leases_renewed,
-            "leases_revoked": self.leases_revoked,
-            "leases_expired": self.leases_expired,
-            "borrow_bytes": self.borrow_bytes,
-            "borrow_fallbacks": self.borrow_fallbacks,
-            "ina_fallbacks": self.ina_fallbacks,
-            "execution_mode": self.execution_mode,
-            "vectorized_refusals": self.vectorized_refusals,
-            "sharding_refusals": self.sharding_refusals,
+            f.name: f.metadata["json"][0](getattr(self, f.name)) for f in _FIELDS
         }
 
     @classmethod
@@ -243,286 +339,104 @@ class CollectiveStats:
         """Rebuild from :meth:`to_json` output.
 
         Fields missing from `d` (older files) fall back to the dataclass
-        defaults, so documents written before a field existed still load.
+        defaults, or to a field's declared load default, so documents
+        written before a field existed still load.  A missing required
+        field raises ``KeyError``.
         """
-        return cls(
-            strategy=d["strategy"],
-            op=d["op"],
-            total_bytes=d["total_bytes"],
-            elapsed=d["elapsed"],
-            n_ranks=d["n_ranks"],
-            n_aggregators=d["n_aggregators"],
-            aggregator_ranks=tuple(d["aggregator_ranks"]),
-            agg_buffer_bytes={
-                int(k): v for k, v in d["agg_buffer_bytes"].items()
-            },
-            agg_overcommit_bytes={
-                int(k): v for k, v in d.get("agg_overcommit_bytes", {}).items()
-            },
-            paged_aggregators=d["paged_aggregators"],
-            rounds_total=d["rounds_total"],
-            shuffle_intra_node_bytes=d["shuffle_intra_node_bytes"],
-            shuffle_inter_node_bytes=d["shuffle_inter_node_bytes"],
-            shuffle_inter_group_bytes=d["shuffle_inter_group_bytes"],
-            n_groups=d.get("n_groups", 1),
-            extra=dict(d.get("extra", {})),
-            degraded_tier=d.get("degraded_tier"),
-            io_retries=d.get("io_retries", 0),
-            io_abandons=d.get("io_abandons", 0),
-            failovers=d.get("failovers", 0),
-            plan_cached=d.get("plan_cached", False),
-            plan_cache_hits=d.get("plan_cache_hits", 0),
-            plan_cache_misses=d.get("plan_cache_misses", 0),
-            plan_cache_invalidations=d.get("plan_cache_invalidations", 0),
-            planning_tree_queries=d.get("planning_tree_queries", 0),
-            leases_granted=d.get("leases_granted", 0),
-            leases_renewed=d.get("leases_renewed", 0),
-            leases_revoked=d.get("leases_revoked", 0),
-            leases_expired=d.get("leases_expired", 0),
-            borrow_bytes=d.get("borrow_bytes", 0),
-            borrow_fallbacks=d.get("borrow_fallbacks", 0),
-            ina_fallbacks=d.get("ina_fallbacks", 0),
-            execution_mode=d.get("execution_mode", "per-rank"),
-            vectorized_refusals=d.get("vectorized_refusals", 0),
-            sharding_refusals=d.get("sharding_refusals", 0),
-        )
+        values = {}
+        for f in _FIELDS:
+            if f.name in d:
+                values[f.name] = f.metadata["json"][1](d[f.name])
+            elif f.metadata["load_default"] is not None:
+                values[f.name] = f.metadata["load_default"]()
+            elif f.default is MISSING and f.default_factory is MISSING:
+                raise KeyError(f.name)
+        return cls(**values)
+
+    @classmethod
+    def _build(cls, value_of: Callable[[Field], object]) -> "CollectiveStats":
+        """Assemble from ``value_of(field)`` for every non-derived field,
+        then compute the derived ones from those values."""
+        values = {
+            f.name: value_of(f) for f in _FIELDS if f.metadata["derive"] is None
+        }
+        for f in _DERIVED:
+            values[f.name] = f.metadata["derive"](values)
+        return cls(**values)
 
     # ------------------------------------------------------------------
     # sharded-execution merge
     # ------------------------------------------------------------------
-    #: Per-operation counters that sum across shards: each shard ran a
-    #: disjoint subset of the plan's domains, so its counts are disjoint
-    #: contributions to the whole collective's totals.
-    _MERGE_SUM_FIELDS = (
-        "total_bytes",
-        "paged_aggregators",
-        "rounds_total",
-        "shuffle_intra_node_bytes",
-        "shuffle_inter_node_bytes",
-        "shuffle_inter_group_bytes",
-        "n_groups",
-        "io_retries",
-        "io_abandons",
-        "failovers",
-        "leases_granted",
-        "leases_renewed",
-        "leases_revoked",
-        "leases_expired",
-        "borrow_bytes",
-        "borrow_fallbacks",
-        "ina_fallbacks",
-        "vectorized_refusals",
-        "sharding_refusals",
-    )
-    #: Fields every shard must agree on for a merge to be meaningful.
-    _MERGE_AGREE_FIELDS = ("strategy", "op", "n_ranks", "degraded_tier")
-    #: Cumulative engine-level counters (monotone across an engine's
-    #: history): the merged view is the furthest any shard saw.
-    _MERGE_MAX_FIELDS = (
-        "plan_cache_hits",
-        "plan_cache_misses",
-        "plan_cache_invalidations",
-        "planning_tree_queries",
-    )
-
     @classmethod
     def merge(cls, shards: "Sequence[CollectiveStats]") -> "CollectiveStats":
         """Fold per-shard stats of one collective into a single summary.
 
-        Registry-aware by field class, mirroring how a single
+        Each field folds by its declared rule, mirroring how a single
         :class:`StatsCollector` would have accumulated the same run:
 
-        * **counters** (bytes, rounds, shuffle split, lease/fault
-          events, ``n_groups``) sum — shards execute disjoint domain
-          subsets, so their counts are disjoint contributions;
-        * **gauges** (``agg_buffer_bytes``, ``agg_overcommit_bytes``)
-          max-merge per rank label, exactly the registry's ``set_max``
-          semantics — an aggregator serving domains in two shards keeps
-          its peak, not the sum;
-        * **sim-time** (``elapsed``) maxes: shards run concurrently on
-          one simulated machine, so the collective takes as long as its
-          slowest shard;
-        * cumulative engine counters (``plan_cache_*``,
-          ``planning_tree_queries``) max-merge (monotone views);
-        * ``execution_mode`` is kept when uniform, else ``"mixed"``.
+        * **sum** — counters (bytes, rounds, shuffle split, lease/fault
+          events, ``n_groups``): shards execute disjoint domain subsets,
+          so their counts are disjoint contributions;
+        * **max** — per-rank peaks (``agg_buffer_bytes``,
+          ``agg_overcommit_bytes``) merge per rank, sim-time ``elapsed``
+          takes the slowest concurrent shard, and the cumulative engine
+          counters (``plan_cache*``, ``planning_tree_queries``) the
+          furthest view;
+        * **agree** — identity fields (strategy, op, rank count, tier);
+        * special — ``extra`` unions, ``execution_mode`` is kept when
+          uniform, else ``"mixed"``, and the aggregator count and ranks
+          derive from the merged buffer map.
 
-        Raises ``ValueError`` on an empty shard list or when shards
-        disagree on identity fields (strategy, op, rank count, tier).
+        A single-shard merge is the identity.  Raises ``ValueError`` on
+        an empty shard list or when shards disagree on an identity field.
         """
         shards = list(shards)
         if not shards:
             raise ValueError("cannot merge an empty shard list")
-        first = shards[0]
-        for other in shards[1:]:
-            for name in cls._MERGE_AGREE_FIELDS:
-                a, b = getattr(first, name), getattr(other, name)
-                if a != b:
-                    raise ValueError(
-                        f"shards disagree on {name}: {a!r} != {b!r}"
-                    )
-        agg_buffer: dict[int, int] = {}
-        agg_overcommit: dict[int, int] = {}
-        for s in shards:
-            for rank, v in s.agg_buffer_bytes.items():
-                agg_buffer[rank] = max(agg_buffer.get(rank, 0), v)
-            for rank, v in s.agg_overcommit_bytes.items():
-                agg_overcommit[rank] = max(agg_overcommit.get(rank, 0), v)
-        sums = {
-            name: sum(getattr(s, name) for s in shards)
-            for name in cls._MERGE_SUM_FIELDS
-        }
-        maxes = {
-            name: max(getattr(s, name) for s in shards)
-            for name in cls._MERGE_MAX_FIELDS
-        }
-        # a single-shard merge must be the identity, so n_groups only
-        # sums when the groups are actually split across shards
-        if len(shards) == 1:
-            sums["n_groups"] = first.n_groups
-            sums["paged_aggregators"] = first.paged_aggregators
-        modes = {s.execution_mode for s in shards}
-        extra: dict = {}
-        for s in shards:
-            extra.update(s.extra)
-        return cls(
-            strategy=first.strategy,
-            op=first.op,
-            total_bytes=sums["total_bytes"],
-            elapsed=max(s.elapsed for s in shards),
-            n_ranks=first.n_ranks,
-            n_aggregators=len(agg_buffer),
-            aggregator_ranks=tuple(sorted(agg_buffer)),
-            agg_buffer_bytes=agg_buffer,
-            agg_overcommit_bytes=agg_overcommit,
-            paged_aggregators=sums["paged_aggregators"],
-            rounds_total=sums["rounds_total"],
-            shuffle_intra_node_bytes=sums["shuffle_intra_node_bytes"],
-            shuffle_inter_node_bytes=sums["shuffle_inter_node_bytes"],
-            shuffle_inter_group_bytes=sums["shuffle_inter_group_bytes"],
-            n_groups=sums["n_groups"],
-            extra=extra,
-            degraded_tier=first.degraded_tier,
-            io_retries=sums["io_retries"],
-            io_abandons=sums["io_abandons"],
-            failovers=sums["failovers"],
-            plan_cached=any(s.plan_cached for s in shards),
-            plan_cache_hits=maxes["plan_cache_hits"],
-            plan_cache_misses=maxes["plan_cache_misses"],
-            plan_cache_invalidations=maxes["plan_cache_invalidations"],
-            planning_tree_queries=maxes["planning_tree_queries"],
-            leases_granted=sums["leases_granted"],
-            leases_renewed=sums["leases_renewed"],
-            leases_revoked=sums["leases_revoked"],
-            leases_expired=sums["leases_expired"],
-            borrow_bytes=sums["borrow_bytes"],
-            borrow_fallbacks=sums["borrow_fallbacks"],
-            ina_fallbacks=sums["ina_fallbacks"],
-            execution_mode=modes.pop() if len(modes) == 1 else "mixed",
-            vectorized_refusals=sums["vectorized_refusals"],
-            sharding_refusals=sums["sharding_refusals"],
+        return cls._build(
+            lambda f: f.metadata["merge"](
+                f.name, [getattr(s, f.name) for s in shards]
+            )
         )
+
+
+_FIELDS: tuple[Field, ...] = fields(CollectiveStats)
+_DERIVED = tuple(f for f in _FIELDS if f.metadata["derive"] is not None)
+#: Fields a :class:`StatsCollector` holds as plain attributes from birth.
+_ACCUMULATED = tuple(f for f in _FIELDS if f.metadata["zero"] is not None)
+
+
+def _snapshot(value):
+    """A collector attribute as the summary records it: containers are
+    copied, and a set of ranks becomes its count."""
+    if isinstance(value, set):
+        return len(value)
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 class StatsCollector:
     """Mutable accumulator shared by all rank processes during one run.
 
-    All quantitative accounting lives in a
-    :class:`~repro.obs.metrics.MetricsRegistry` (one per collector unless
-    a shared one is injected); the legacy attribute surface
-    (``total_bytes``, ``shuffle_intra_node_bytes``, ...) is preserved as
-    read-only views over the registry, so :meth:`finalize` and every
-    live reader see the same numbers by construction.
+    Every :class:`CollectiveStats` field the collector accumulates is a
+    plain attribute of the same name, starting from the field's declared
+    zero; ``paged_aggregators`` is the set of paged ranks.  ``elapsed``
+    and the file-system retry counts are computed views, and
+    :meth:`finalize` folds all of them through the field declaration.
 
-    Counters and gauges store the exact integers they are given — the
+    Counters and peaks store the exact integers they are given — the
     golden-trace suite compares collective summaries bit-for-bit.
     """
 
-    def __init__(
-        self,
-        strategy: str,
-        op: str,
-        n_ranks: int,
-        registry: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, strategy: str, op: str, n_ranks: int):
         self.strategy = strategy
         self.op = op
         self.n_ranks = n_ranks
-        #: Backing store for all counted/gauged quantities.  Injecting a
-        #: shared registry merges accounting across collectors (the
-        #: instruments are get-or-create), so per-operation summaries
-        #: want the default fresh registry.
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self._c_io_bytes = self.registry.counter(
-            "io_bytes_total", "bytes moved to/from the file system"
-        )
-        self._c_shuffle = self.registry.counter(
-            "shuffle_bytes_total",
-            "shuffle traffic by locality",
-            labelnames=("path",),
-        )
-        self._c_rounds = self.registry.counter(
-            "shuffle_rounds_total", "aggregator round executions"
-        )
-        self._c_failovers = self.registry.counter(
-            "failovers_total", "mid-operation aggregator failovers"
-        )
-        self._g_agg_buffer = self.registry.gauge(
-            "agg_buffer_bytes",
-            "peak aggregation-buffer bytes per aggregator rank",
-            labelnames=("rank",),
-        )
-        self._g_agg_overcommit = self.registry.gauge(
-            "agg_overcommit_bytes",
-            "peak host-memory overcommit per aggregator rank",
-            labelnames=("rank",),
-        )
-        self._g_agg_paged = self.registry.gauge(
-            "agg_paged",
-            "1 for aggregator ranks whose buffers spilled to paging",
-            labelnames=("rank",),
-        )
-        self._h_shuffle_msg = self.registry.histogram(
-            "shuffle_message_bytes",
-            "per-message shuffle payload sizes",
-            labelnames=("path",),
-        )
-        self._c_leases = self.registry.counter(
-            "leases_total",
-            "remote-memory lease lifecycle events",
-            labelnames=("event",),
-        )
-        self._c_borrow_bytes = self.registry.counter(
-            "borrow_bytes_total",
-            "bytes staged to/fetched from leased remote buffers",
-        )
-        self._c_borrow_fallbacks = self.registry.counter(
-            "borrow_fallbacks_total",
-            "mid-collective borrow aborts degraded back to remerge",
-        )
-        self._c_ina_fallbacks = self.registry.counter(
-            "ina_fallbacks_total",
-            "intra-node leader bundles degraded to per-rank sends",
-        )
-        self._c_vec_refusals = self.registry.counter(
-            "vectorized_refusals_total",
-            "collectives that refused vectorization and ran per-rank",
-        )
-        self._c_shard_refusals = self.registry.counter(
-            "sharding_refusals_total",
-            "collectives that refused group sharding and ran per-rank",
-        )
-        #: Execution path that served this collective (DESIGN.md §11).
-        self.execution_mode = "per-rank"
+        for f in _ACCUMULATED:
+            setattr(self, f.name, f.metadata["zero"]())
         self.start_time: Optional[float] = None
         self.end_time: Optional[float] = None
-        self.n_groups = 1
-        self.extra: dict = {}
-        self.degraded_tier: Optional[str] = None
-        self.plan_cached = False
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
-        self.plan_cache_invalidations = 0
-        self.planning_tree_queries = 0
         self._pfs = None
         self._pfs_retries0 = 0
         self._pfs_abandons0 = 0
@@ -535,91 +449,20 @@ class StatsCollector:
         #: set, engines report attempts and I/O extents through it.
         self.auditor = None
 
-    # ------------------------------------------------------------------
-    # registry views (the legacy attribute surface)
-    # ------------------------------------------------------------------
     @property
-    def total_bytes(self) -> int:
-        """Bytes moved to/from the file system so far."""
-        return self._c_io_bytes.value()
+    def elapsed(self) -> float:
+        """Span from the earliest rank entry to the latest rank exit."""
+        return self.end_time - self.start_time
 
     @property
-    def rounds_total(self) -> int:
-        """Aggregator round executions so far."""
-        return self._c_rounds.value()
+    def io_retries(self) -> int:
+        """File-system retries since :meth:`attach_pfs`."""
+        return self._pfs.io_retries - self._pfs_retries0 if self._pfs else 0
 
     @property
-    def shuffle_intra_node_bytes(self) -> int:
-        """Shuffle bytes that stayed on their sender's node."""
-        return self._c_shuffle.value(path="intra_node")
-
-    @property
-    def shuffle_inter_node_bytes(self) -> int:
-        """Shuffle bytes that crossed nodes."""
-        return self._c_shuffle.value(path="inter_node")
-
-    @property
-    def shuffle_inter_group_bytes(self) -> int:
-        """Shuffle bytes that crossed group boundaries (MCIO: zero)."""
-        return self._c_shuffle.value(path="inter_group")
-
-    @property
-    def failovers(self) -> int:
-        """Aggregator failovers performed so far."""
-        return self._c_failovers.value()
-
-    @property
-    def agg_buffer_bytes(self) -> dict[int, int]:
-        """Peak aggregation-buffer bytes per aggregator rank."""
-        return {rank: v for (rank,), v in self._g_agg_buffer.values().items()}
-
-    @property
-    def agg_overcommit_bytes(self) -> dict[int, int]:
-        """Peak host-memory overcommit per aggregator rank."""
-        return {
-            rank: v for (rank,), v in self._g_agg_overcommit.values().items()
-        }
-
-    @property
-    def paged_aggregators(self) -> set[int]:
-        """Ranks whose aggregation buffers spilled to paging."""
-        return {rank for (rank,) in self._g_agg_paged.values()}
-
-    @property
-    def leases_granted(self) -> int:
-        return self._c_leases.value(event="granted")
-
-    @property
-    def leases_renewed(self) -> int:
-        return self._c_leases.value(event="renewed")
-
-    @property
-    def leases_revoked(self) -> int:
-        return self._c_leases.value(event="revoked")
-
-    @property
-    def leases_expired(self) -> int:
-        return self._c_leases.value(event="expired")
-
-    @property
-    def borrow_bytes(self) -> int:
-        return self._c_borrow_bytes.value()
-
-    @property
-    def borrow_fallbacks(self) -> int:
-        return self._c_borrow_fallbacks.value()
-
-    @property
-    def ina_fallbacks(self) -> int:
-        return self._c_ina_fallbacks.value()
-
-    @property
-    def vectorized_refusals(self) -> int:
-        return self._c_vec_refusals.value()
-
-    @property
-    def sharding_refusals(self) -> int:
-        return self._c_shard_refusals.value()
+    def io_abandons(self) -> int:
+        """File-system abandoned requests since :meth:`attach_pfs`."""
+        return self._pfs.io_abandons - self._pfs_abandons0 if self._pfs else 0
 
     # ------------------------------------------------------------------
     def mark_start(self, now: float) -> None:
@@ -635,29 +478,34 @@ class StatsCollector:
     def record_aggregator(
         self, rank: int, buffer_bytes: int, paged: bool, overcommit_bytes: int = 0
     ) -> None:
-        """Register an aggregator's buffer commitment."""
-        self._g_agg_buffer.set_max(buffer_bytes, rank=rank)
-        self._g_agg_overcommit.set_max(int(overcommit_bytes), rank=rank)
+        """Register an aggregator's buffer commitment (peak, not last)."""
+        for peaks, value in (
+            (self.agg_buffer_bytes, buffer_bytes),
+            (self.agg_overcommit_bytes, int(overcommit_bytes)),
+        ):
+            if rank not in peaks or value > peaks[rank]:
+                peaks[rank] = value
         if paged:
-            self._g_agg_paged.set(1, rank=rank)
+            self.paged_aggregators.add(rank)
 
     def record_shuffle(
         self, nbytes: int, same_node: bool, same_group: bool = True
     ) -> None:
-        """Account one shuffle message."""
-        path = "intra_node" if same_node else "inter_node"
-        self._c_shuffle.inc(nbytes, path=path)
-        self._h_shuffle_msg.observe(nbytes, path=path)
+        """Account shuffle traffic: one message, or a node group's bulk."""
+        if same_node:
+            self.shuffle_intra_node_bytes += nbytes
+        else:
+            self.shuffle_inter_node_bytes += nbytes
         if not same_group:
-            self._c_shuffle.inc(nbytes, path="inter_group")
+            self.shuffle_inter_group_bytes += nbytes
 
     def record_rounds(self, rounds: int) -> None:
         """Add an aggregator's executed round count."""
-        self._c_rounds.inc(rounds)
+        self.rounds_total += rounds
 
     def record_bytes(self, nbytes: int) -> None:
         """Add bytes moved to/from the file system."""
-        self._c_io_bytes.inc(nbytes)
+        self.total_bytes += nbytes
 
     def set_tier(self, tier: Optional[str]) -> None:
         """Record the degradation tier that served the collective."""
@@ -665,7 +513,7 @@ class StatsCollector:
 
     def record_failover(self, count: int = 1) -> None:
         """Count aggregator failovers performed during the run."""
-        self._c_failovers.inc(count)
+        self.failovers += count
 
     def record_plan_cache(
         self, cached: bool, cache_stats=None, tree_queries: int = 0
@@ -680,19 +528,20 @@ class StatsCollector:
 
     def record_lease(self, event: str) -> None:
         """Count one lease lifecycle event (granted/renewed/...)."""
-        self._c_leases.inc(1, event=event)
+        name = f"leases_{event}"
+        setattr(self, name, getattr(self, name) + 1)
 
     def record_borrow_bytes(self, nbytes: int) -> None:
         """Add bytes moved to/from a leased remote buffer."""
-        self._c_borrow_bytes.inc(nbytes)
+        self.borrow_bytes += nbytes
 
     def record_borrow_fallback(self) -> None:
         """Count one mid-collective borrow abort (degrade to remerge)."""
-        self._c_borrow_fallbacks.inc(1)
+        self.borrow_fallbacks += 1
 
     def record_ina_fallback(self) -> None:
         """Count one leader bundle degraded to per-rank sends."""
-        self._c_ina_fallbacks.inc(1)
+        self.ina_fallbacks += 1
 
     def record_execution_mode(self, mode: str) -> None:
         """Record which execution path served this collective."""
@@ -700,12 +549,12 @@ class StatsCollector:
 
     def record_vectorized_refusal(self, reason: str) -> None:
         """Count a refused vectorization and keep the why in ``extra``."""
-        self._c_vec_refusals.inc(1)
+        self.vectorized_refusals += 1
         self.extra["vectorized_refusal"] = reason
 
     def record_sharding_refusal(self, reason: str) -> None:
         """Count a refused group sharding and keep the why in ``extra``."""
-        self._c_shard_refusals.inc(1)
+        self.sharding_refusals += 1
         self.extra["sharding_refusal"] = reason
 
     def record_attempts(self, n: int) -> None:
@@ -719,21 +568,6 @@ class StatsCollector:
             return
         for _ in range(n):
             self.auditor.on_attempt(self)
-
-    def record_shuffle_bulk(
-        self, nbytes: int, same_node: bool, same_group: bool = True
-    ) -> None:
-        """Account a whole node-group's shuffle traffic in one call.
-
-        Byte counters match a message-by-message accounting exactly; the
-        per-message size histogram sees one aggregate observation (it is
-        not part of :class:`CollectiveStats`).
-        """
-        path = "intra_node" if same_node else "inter_node"
-        self._c_shuffle.inc(nbytes, path=path)
-        self._h_shuffle_msg.observe(nbytes, path=path)
-        if not same_group:
-            self._c_shuffle.inc(nbytes, path="inter_group")
 
     def failed_nodes_snapshot(self, key, cluster) -> frozenset:
         """Failed-node set pinned by the first caller for `key`.
@@ -777,47 +611,7 @@ class StatsCollector:
         """Fold into an immutable summary."""
         if self.start_time is None or self.end_time is None:
             raise RuntimeError("run was never marked started/ended")
-        final = CollectiveStats(
-            strategy=self.strategy,
-            op=self.op,
-            total_bytes=self.total_bytes,
-            elapsed=self.end_time - self.start_time,
-            n_ranks=self.n_ranks,
-            n_aggregators=len(self.agg_buffer_bytes),
-            aggregator_ranks=tuple(sorted(self.agg_buffer_bytes)),
-            agg_buffer_bytes=dict(self.agg_buffer_bytes),
-            agg_overcommit_bytes=dict(self.agg_overcommit_bytes),
-            paged_aggregators=len(self.paged_aggregators),
-            rounds_total=self.rounds_total,
-            shuffle_intra_node_bytes=self.shuffle_intra_node_bytes,
-            shuffle_inter_node_bytes=self.shuffle_inter_node_bytes,
-            shuffle_inter_group_bytes=self.shuffle_inter_group_bytes,
-            n_groups=self.n_groups,
-            extra=dict(self.extra),
-            degraded_tier=self.degraded_tier,
-            io_retries=(
-                self._pfs.io_retries - self._pfs_retries0 if self._pfs else 0
-            ),
-            io_abandons=(
-                self._pfs.io_abandons - self._pfs_abandons0 if self._pfs else 0
-            ),
-            failovers=self.failovers,
-            plan_cached=self.plan_cached,
-            plan_cache_hits=self.plan_cache_hits,
-            plan_cache_misses=self.plan_cache_misses,
-            plan_cache_invalidations=self.plan_cache_invalidations,
-            planning_tree_queries=self.planning_tree_queries,
-            leases_granted=self.leases_granted,
-            leases_renewed=self.leases_renewed,
-            leases_revoked=self.leases_revoked,
-            leases_expired=self.leases_expired,
-            borrow_bytes=self.borrow_bytes,
-            borrow_fallbacks=self.borrow_fallbacks,
-            ina_fallbacks=self.ina_fallbacks,
-            execution_mode=self.execution_mode,
-            vectorized_refusals=self.vectorized_refusals,
-            sharding_refusals=self.sharding_refusals,
-        )
+        final = CollectiveStats._build(lambda f: _snapshot(getattr(self, f.name)))
         if self.auditor is not None:
             self.auditor.on_finalize(self, final)
         return final

@@ -33,7 +33,7 @@ from . import (
 from . import topology  # noqa: F401  (registered experiment)
 from .figures import FigureConfig, FigureResult, run_figure
 from .harness import Platform, SweepPoint, run_collective, run_memory_sweep
-from .persistence import load_points, save_points, stats_from_dict, stats_to_dict
+from .persistence import load_points, save_points
 from .report import (
     average_improvements,
     format_table,
@@ -63,8 +63,6 @@ __all__ = [
     "run_figure",
     "run_memory_sweep",
     "save_points",
-    "stats_from_dict",
-    "stats_to_dict",
     "resilience",
     "sweep_rows",
     "sweep_table",

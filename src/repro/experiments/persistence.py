@@ -22,28 +22,9 @@ from repro.core.metrics import CollectiveStats
 
 from .harness import SweepPoint
 
-__all__ = [
-    "stats_to_dict",
-    "stats_from_dict",
-    "save_points",
-    "load_points",
-]
+__all__ = ["save_points", "load_points"]
 
 _SCHEMA = "repro.sweep/1"
-
-
-def stats_to_dict(stats: CollectiveStats) -> dict:
-    """Serialize one :class:`CollectiveStats` to plain JSON types.
-
-    Thin alias of :meth:`CollectiveStats.to_json` — kept so existing
-    imports (and saved files referencing this module's docs) stay valid.
-    """
-    return stats.to_json()
-
-
-def stats_from_dict(d: dict) -> CollectiveStats:
-    """Rebuild a :class:`CollectiveStats` from :func:`stats_to_dict` output."""
-    return CollectiveStats.from_json(d)
 
 
 def save_points(
@@ -62,7 +43,7 @@ def save_points(
                 "buffer_bytes": p.buffer_bytes,
                 "strategy": p.strategy,
                 "op": p.op,
-                "stats": stats_to_dict(p.stats),
+                "stats": p.stats.to_json(),
             }
             for p in points
         ],
@@ -86,7 +67,7 @@ def load_points(path: str | Path) -> tuple[list[SweepPoint], dict]:
             buffer_bytes=p["buffer_bytes"],
             strategy=p["strategy"],
             op=p["op"],
-            stats=stats_from_dict(p["stats"]),
+            stats=CollectiveStats.from_json(p["stats"]),
         )
         for p in doc["points"]
     ]

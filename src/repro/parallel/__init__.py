@@ -10,7 +10,7 @@ Two shard axes (DESIGN.md §12):
   keeps per-cell RNG seeds a function of the cell, not the worker.
 """
 
-from repro.parallel.groups import run_sharded_collective, sharding_refusal
+from repro.parallel.groups import run_sharded_collective
 from repro.parallel.pool import ParallelRunner, cell_seed, resolve_jobs
 
 __all__ = [
@@ -18,5 +18,4 @@ __all__ = [
     "cell_seed",
     "resolve_jobs",
     "run_sharded_collective",
-    "sharding_refusal",
 ]

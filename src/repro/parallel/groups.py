@@ -65,23 +65,11 @@ from repro.core.request import AccessPattern
 from repro.core.vectorized import vectorization_refusal
 from repro.parallel.pool import ParallelRunner, resolve_jobs
 
-__all__ = ["run_sharded_collective", "sharding_refusal"]
+__all__ = ["run_sharded_collective"]
 
 #: Worker-side trace ring capacity; shard timelines are short-lived
 #: (one collective) so this never realistically drops events.
 _WORKER_TRACE_CAPACITY = 1 << 16
-
-
-def sharding_refusal(engine, payloads=None) -> Optional[str]:
-    """Why this collective cannot shard right now, or None.
-
-    Pre-plan checks only; the post-plan checks (independent tier, lender
-    domains, single group, shared aggregator hosts) live in
-    :func:`run_sharded_collective` because they need the plan.  The
-    fault/lease/data-plane conditions are exactly vectorization's — both
-    drivers require the fault-free, lease-free, metadata-only regime.
-    """
-    return vectorization_refusal(engine, payloads)
 
 
 @dataclass(frozen=True)
@@ -254,7 +242,10 @@ def run_sharded_collective(
     if len(patterns) != comm.size:
         raise ValueError("patterns length must equal communicator size")
 
-    reason = sharding_refusal(engine, payloads)
+    # the fault/lease/data-plane conditions are exactly vectorization's:
+    # both drivers require the fault-free, lease-free, metadata-only
+    # regime; the checks below this one need the plan
+    reason = vectorization_refusal(engine, payloads)
     if reason is not None:
         return _per_rank_fallback(engine, patterns, op, reason, payloads)
 
@@ -338,9 +329,9 @@ def run_sharded_collective(
     if merged.rounds_total:
         stats.record_rounds(merged.rounds_total)
     if merged.shuffle_intra_node_bytes:
-        stats.record_shuffle_bulk(merged.shuffle_intra_node_bytes, same_node=True)
+        stats.record_shuffle(merged.shuffle_intra_node_bytes, same_node=True)
     if merged.shuffle_inter_node_bytes:
-        stats.record_shuffle_bulk(
+        stats.record_shuffle(
             merged.shuffle_inter_node_bytes, same_node=False
         )
     paged = set()

@@ -43,8 +43,8 @@ def _stats(tier=None, intra=0, inter=0) -> CollectiveStats:
         n_ranks=4,
         n_aggregators=1,
         aggregator_ranks=(0,),
-        agg_buffer_bytes={},
-        agg_overcommit_bytes=0,
+        agg_buffer_bytes={0: KIB},
+        agg_overcommit_bytes={0: 0},
         paged_aggregators=0,
         rounds_total=1,
         shuffle_intra_node_bytes=intra,

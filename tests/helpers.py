@@ -84,11 +84,8 @@ def rank_payload(rank: int, nbytes: int) -> np.ndarray:
 # differential harness: per-rank reference vs vectorized driver
 # ---------------------------------------------------------------------------
 
-#: CollectiveStats fields the vectorized driver must reproduce exactly.
-#: Excluded by design: ``elapsed`` (node-level timing is pinned by its
-#: own goldens, not by per-rank equality), the ``plan_cache*`` counters
-#: (a refused-then-fallen-back run can see one extra lookup) and the
-#: execution-mode fields themselves.
+#: CollectiveStats fields the vectorized and sharded drivers must
+#: reproduce exactly.  Every other field is in :data:`EXCLUDED_FIELDS`.
 EQUIVALENT_FIELDS = (
     "strategy",
     "op",
@@ -115,6 +112,25 @@ EQUIVALENT_FIELDS = (
     "borrow_bytes",
     "borrow_fallbacks",
     "ina_fallbacks",
+)
+
+#: CollectiveStats fields the differential harnesses do not compare, by
+#: design: ``elapsed`` (node-level timing is pinned by its own goldens,
+#: not by per-rank equality), ``extra`` (free-form, driver-specific
+#: notes), the plan-cache fields and ``planning_tree_queries`` (a
+#: refused-then-fallen-back run can see one extra lookup) and the
+#: execution-mode fields themselves.
+EXCLUDED_FIELDS = (
+    "elapsed",
+    "extra",
+    "plan_cached",
+    "plan_cache_hits",
+    "plan_cache_misses",
+    "plan_cache_invalidations",
+    "planning_tree_queries",
+    "execution_mode",
+    "vectorized_refusals",
+    "sharding_refusals",
 )
 
 
